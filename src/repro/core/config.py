@@ -14,7 +14,7 @@ parallelization controller explores every configuration that
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..llm.memory import MemoryModel
 from ..llm.spec import ModelSpec
@@ -105,6 +105,7 @@ class ConfigurationSpace:
         self.gpus_per_instance = gpus_per_instance
         self.max_data_degree = max_data_degree
         self._feasible_cache: dict = {}
+        self._fit_memo: Dict[Tuple[int, int, int], bool] = {}
         self._generation = 0
         self.migration_buffer_bytes = migration_buffer_bytes
         self.require_divisible_layers = require_divisible_layers
@@ -156,8 +157,9 @@ class ConfigurationSpace:
         return self._generation
 
     def invalidate_cache(self) -> None:
-        """Drop memoised enumerations (e.g. after mutating the memory model)."""
+        """Drop memoised enumerations and memory fits (e.g. after mutating the memory model)."""
         self._feasible_cache.clear()
+        self._fit_memo.clear()
         self._generation += 1
 
     # ------------------------------------------------------------------
@@ -176,9 +178,10 @@ class ConfigurationSpace:
     def feasible_configs(self, num_instances: int) -> List[ParallelConfig]:
         """Every memory-feasible configuration on *num_instances* instances.
 
-        The enumeration (hundreds of memory-model checks) is memoised per
-        fleet size; the cache is dropped whenever ``migration_buffer_bytes``
-        changes.  A fresh list is returned so callers may mutate it freely.
+        The enumeration is memoised per fleet size and each memory-model
+        check once per ``(P, M, B)``; both caches are dropped whenever
+        ``migration_buffer_bytes`` or a cache-sensitive attribute changes.
+        A fresh list is returned so callers may mutate it freely.
         """
         if num_instances <= 0:
             return []
@@ -194,16 +197,14 @@ class ConfigurationSpace:
                 gpus_per_pipeline = pipeline_degree * tensor_degree
                 if gpus_per_pipeline > max_gpus:
                     continue
+                batch_sizes = [
+                    batch_size
+                    for batch_size in self.batch_sizes
+                    if self._fits(pipeline_degree, tensor_degree, batch_size)
+                ]
                 max_data = min(self.max_data_degree, max_gpus // gpus_per_pipeline)
                 for data_degree in range(1, max_data + 1):
-                    for batch_size in self.batch_sizes:
-                        if not self.memory_model.fits(
-                            pipeline_degree,
-                            tensor_degree,
-                            batch_size,
-                            migration_buffer_bytes=self.migration_buffer_bytes,
-                        ):
-                            continue
+                    for batch_size in batch_sizes:
                         configs.append(
                             ParallelConfig(
                                 data_degree, pipeline_degree, tensor_degree, batch_size
@@ -216,11 +217,21 @@ class ConfigurationSpace:
         """GPUs available on *num_instances* instances."""
         return num_instances * self.gpus_per_instance
 
+    def _fits(self, pipeline_degree: int, tensor_degree: int, batch_size: int) -> bool:
+        """Memoised memory fit of one ``(P, M, B)``; it depends on neither D nor N."""
+        key = (pipeline_degree, tensor_degree, batch_size)
+        fit = self._fit_memo.get(key)
+        if fit is None:
+            fit = self._fit_memo[key] = self.memory_model.fits(
+                pipeline_degree,
+                tensor_degree,
+                batch_size,
+                migration_buffer_bytes=self.migration_buffer_bytes,
+            )
+        return fit
+
     def fits(self, config: ParallelConfig) -> bool:
         """Memory feasibility of *config* (independent of fleet size)."""
-        return config.is_compatible_with(self.model) and self.memory_model.fits(
-            config.pipeline_degree,
-            config.tensor_degree,
-            config.batch_size,
-            migration_buffer_bytes=self.migration_buffer_bytes,
+        return config.is_compatible_with(self.model) and self._fits(
+            config.pipeline_degree, config.tensor_degree, config.batch_size
         )

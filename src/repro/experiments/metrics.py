@@ -25,6 +25,7 @@ class LatencyStats:
     mean: float
     minimum: float
     maximum: float
+    median: float
     percentiles: Dict[int, float]
 
     @classmethod
@@ -33,12 +34,13 @@ class LatencyStats:
         values = np.asarray(list(latencies), dtype=float)
         if values.size == 0:
             nan = float("nan")
-            return cls(0, nan, nan, nan, {p: nan for p in REPORTED_PERCENTILES})
+            return cls(0, nan, nan, nan, nan, {p: nan for p in REPORTED_PERCENTILES})
         return cls(
             count=int(values.size),
             mean=float(values.mean()),
             minimum=float(values.min()),
             maximum=float(values.max()),
+            median=float(np.percentile(values, 50)),
             percentiles={
                 p: float(np.percentile(values, p)) for p in REPORTED_PERCENTILES
             },
@@ -46,8 +48,8 @@ class LatencyStats:
 
     @property
     def p50(self) -> float:
-        """Median latency (recomputed lazily is unnecessary; use mean/percentiles)."""
-        return self.percentiles.get(50, float("nan"))
+        """Median latency."""
+        return self.median
 
     @property
     def p90(self) -> float:

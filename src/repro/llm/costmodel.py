@@ -30,6 +30,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 from ..sim.network import NetworkSpec
 from .hardware import GPUSpec, T4
 from .spec import ModelSpec, get_model
@@ -218,44 +220,68 @@ class LatencyModel:
     # ------------------------------------------------------------------
     # Phase latencies (uncalibrated internals)
     # ------------------------------------------------------------------
-    def _decode_iteration_raw(
+    def _decode_raw(
         self,
-        context_length: int,
+        first_context: int,
+        num_tokens: int,
         pipeline_degree: int,
         tensor_degree: int,
         batch_size: int,
     ) -> float:
+        """Summed raw latency of *num_tokens* decoding iterations.
+
+        Iteration ``i`` (0-based) attends over ``first_context + i`` tokens.
+        The context-invariant terms are computed once; the per-token terms are
+        one float64 vector that keeps the scalar operation order, and
+        ``np.add.accumulate`` sums it strictly left to right (``np.sum`` is
+        pairwise and would change the last bits of every digest).
+        """
         _check_parallelism(pipeline_degree, tensor_degree, batch_size)
-        layers_per_stage = self.model.num_layers / pipeline_degree
+        if num_tokens <= 0:
+            return 0.0
+        model, params = self.model, self.params
+        layers_per_stage = model.num_layers / pipeline_degree
         # Weight streaming: every resident parameter is read once per token.
         weight_bytes_per_gpu = (
-            self.model.num_layers * self.model.layer_param_bytes
-            + self.model.embedding_params * self.model.bytes_per_param
+            model.num_layers * model.layer_param_bytes
+            + model.embedding_params * model.bytes_per_param
         ) / (pipeline_degree * tensor_degree)
         memory_time_per_stage = weight_bytes_per_gpu / (
-            self.gpu.memory_bandwidth * self.params.memory_efficiency
+            self.gpu.memory_bandwidth * params.memory_efficiency
         )
-        # Compute lower bound (per stage, per GPU).
-        flops_per_stage = (
-            batch_size
-            * self.model.flops_per_token(context_length)
-            * (layers_per_stage / self.model.num_layers)
-            / tensor_degree
-        )
-        peak = self._decode_peak_flops()
-        compute_time_per_stage = flops_per_stage / (
-            peak * self.params.decode_compute_efficiency
-        )
-        stage_time = max(memory_time_per_stage, compute_time_per_stage)
         # Two all-reduces per layer (attention output + FFN output).
         allreduce = 2.0 * layers_per_stage * self._allreduce_time(
             self._activation_bytes(batch_size), tensor_degree
         )
-        per_stage = stage_time + allreduce
         handoff = self._pipeline_handoff_time(
             self._activation_bytes(batch_size), pipeline_degree
         )
-        return pipeline_degree * per_stage + handoff + self.params.per_iteration_overhead
+        # ``ModelSpec.flops_per_token`` split into its constant and
+        # context-proportional terms.
+        matmul = 2.0 * model.num_layers * model.params_per_layer
+        attention_per_context = 4.0 * model.num_layers * model.hidden_size
+        lm_head = 2.0 * model.hidden_size * model.vocab_size
+        contexts = np.maximum(
+            np.arange(first_context, first_context + num_tokens), 1
+        )
+        flops_per_token = matmul + attention_per_context * contexts + lm_head
+        # Compute lower bound (per stage, per GPU).
+        flops_per_stage = (
+            batch_size
+            * flops_per_token
+            * (layers_per_stage / model.num_layers)
+            / tensor_degree
+        )
+        compute_time_per_stage = flops_per_stage / (
+            self._decode_peak_flops() * params.decode_compute_efficiency
+        )
+        per_stage = (
+            np.maximum(memory_time_per_stage, compute_time_per_stage) + allreduce
+        )
+        iterations = (
+            pipeline_degree * per_stage + handoff + params.per_iteration_overhead
+        )
+        return float(np.add.accumulate(iterations)[-1])
 
     def _prefill_raw(
         self,
@@ -304,11 +330,9 @@ class LatencyModel:
         batch_size: int,
     ) -> float:
         prefill = self._prefill_raw(input_length, pipeline_degree, tensor_degree, batch_size)
-        decode = 0.0
-        for i in range(1, output_length + 1):
-            decode += self._decode_iteration_raw(
-                input_length + i, pipeline_degree, tensor_degree, batch_size
-            )
+        decode = self._decode_raw(
+            input_length + 1, output_length, pipeline_degree, tensor_degree, batch_size
+        )
         return prefill + decode + self.params.per_request_overhead
 
     # ------------------------------------------------------------------
@@ -322,8 +346,8 @@ class LatencyModel:
         context_length: int = DEFAULT_INPUT_LENGTH,
     ) -> float:
         """Latency of one incremental decoding iteration, ``t_exe(1)`` in Eq. (2)."""
-        return self._calibration * self._decode_iteration_raw(
-            context_length, pipeline_degree, tensor_degree, batch_size
+        return self._calibration * self._decode_raw(
+            context_length, 1, pipeline_degree, tensor_degree, batch_size
         )
 
     def prefill_time(
@@ -350,28 +374,6 @@ class LatencyModel:
         return self._calibration * self._uncalibrated_l_exe(
             output_length, input_length, pipeline_degree, tensor_degree, batch_size
         )
-
-    def partial_decode_time(
-        self,
-        num_tokens: int,
-        pipeline_degree: int,
-        tensor_degree: int,
-        batch_size: int,
-        context_length: int = DEFAULT_INPUT_LENGTH,
-    ) -> float:
-        """Time to decode *num_tokens* additional tokens from *context_length*.
-
-        Used by the JIT interruption arranger to decide how many iterations
-        fit in the remaining grace period.
-        """
-        if num_tokens < 0:
-            raise ValueError("num_tokens must be non-negative")
-        total = 0.0
-        for i in range(1, num_tokens + 1):
-            total += self._decode_iteration_raw(
-                context_length + i, pipeline_degree, tensor_degree, batch_size
-            )
-        return self._calibration * total
 
     def throughput(
         self,

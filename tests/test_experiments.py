@@ -46,7 +46,14 @@ class TestLatencyStats:
         stats = LatencyStats.from_latencies([])
         assert stats.count == 0
         assert math.isnan(stats.mean)
+        assert math.isnan(stats.p50)
         assert math.isnan(stats.p99)
+
+    def test_p50_is_the_median(self):
+        assert LatencyStats.from_latencies([5.0, 1.0, 3.0]).p50 == 3.0
+        assert LatencyStats.from_latencies([1.0, 2.0, 3.0, 4.0]).p50 == 2.5
+        # The median is not a reported percentile, so the tables keep their columns.
+        assert "p50" not in LatencyStats.from_latencies([1.0, 2.0]).as_row()
 
     def test_as_row(self):
         row = LatencyStats.from_latencies([1.0, 2.0]).as_row()
