@@ -163,19 +163,6 @@ class InstanceManager:
             if inst.market is Market.ON_DEMAND and self._owned(inst)
         )
 
-    def launching_instances(self) -> List[Instance]:
-        """Granted instances still booting (candidates for the launch watchdog).
-
-        These live in the provider's fleet, not ``_held`` -- an instance is
-        only adopted once its ``ACQUISITION_READY`` fires -- so the view goes
-        through the provider.
-        """
-        return [
-            inst
-            for inst in self.provider.alive_instances()
-            if inst.is_launching and self._owned(inst)
-        ]
-
     def _owned(self, instance: Instance) -> bool:
         """True when *instance* belongs to this manager's tenant (or no filter)."""
         return self.ownership_filter is None or self.ownership_filter(instance)

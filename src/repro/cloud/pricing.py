@@ -192,8 +192,3 @@ class CostTracker:
                 end = record.end if record.end is not None else now
                 hours += max(end - record.start, 0.0) / 3600.0
         return hours
-
-    @property
-    def open_records(self) -> int:
-        """Number of instances currently accruing cost."""
-        return len(self._records)

@@ -40,6 +40,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .controller import ParallelizationController
 
 
@@ -227,7 +229,6 @@ class CostAwarePolicy(AutoscalePolicy):
         self.headroom = headroom
         self.budget_per_hour = budget_per_hour
         self.max_probe_instances = max_probe_instances
-        self._sweep_cache: Dict[Tuple[int, int, int], Dict[int, float]] = {}
 
     def _budget_cap(self, signal: AutoscaleSignal) -> int:
         if self.budget_per_hour is None or not signal.zones:
@@ -245,37 +246,21 @@ class CostAwarePolicy(AutoscalePolicy):
     def _best_throughput_by_count(self, cap: int) -> Dict[int, float]:
         """Best sustained throughput per fleet size, for every size <= *cap*.
 
-        One sweep of the configuration space at the cap covers every smaller
+        One view of the configuration space at the cap covers every smaller
         fleet too (a config needing n instances is reachable by every count
-        >= n), so the smallest sustaining fleet falls out of a single
-        enumeration instead of one optimizer run per candidate.  Throughput,
-        execution latency and instance count are all independent of the
-        arrival rate, so the sweep is cached per (cap, profiler generation,
-        config-space generation) -- the fluctuating rate that changes every
-        round cannot change this table, only *where* the demand threshold
-        lands in it.
+        >= n), so the smallest sustaining fleet falls out of one group-max
+        over the view's instance-count column instead of one optimizer run
+        per candidate.  Throughput and instance counts are independent of
+        the arrival rate; the controller memoises the view per generation.
         """
-        # ``getattr`` keeps duck-typed stub controllers (tests) working: a
-        # controller without generation counters caches under a fixed epoch.
-        key = (
-            cap,
-            getattr(getattr(self.controller, "profiler", None), "generation", -1),
-            getattr(self.controller.config_space, "generation", -1),
-        )
-        cached = self._sweep_cache.get(key)
-        if cached is not None:
-            return cached
-        best_by_count: Dict[int, float] = {}
-        for config in self.controller.config_space.feasible_configs(cap):
-            estimate = self.controller.estimate(config, 0.0)
-            if estimate.execution_latency == float("inf"):
-                continue
-            n = estimate.num_instances
-            best_by_count[n] = max(best_by_count.get(n, 0.0), estimate.throughput)
-        if len(self._sweep_cache) >= 8:
-            self._sweep_cache.clear()
-        self._sweep_cache[key] = best_by_count
-        return best_by_count
+        view = self.controller.fleet_view(cap)
+        reachable = view.exec_latency != float("inf")
+        counts = view.num_instances[reachable]
+        if not counts.size:
+            return {}
+        best = np.zeros(int(counts.max()) + 1)
+        np.maximum.at(best, counts, view.throughput[reachable])
+        return {count: float(best[count]) for count in np.unique(counts).tolist()}
 
     def desired_instances(self, signal: AutoscaleSignal) -> int:
         """Smallest fleet whose profiled throughput sustains the demand."""

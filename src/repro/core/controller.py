@@ -23,12 +23,9 @@ decomposition ``l_req = l_sch + l_exe``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-try:  # numpy powers the vectorized propose sweep; scalar path without it.
-    import numpy as np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    np = None
+import numpy as np
 
 from ..llm.profiler import OfflineProfiler
 from ..perf import NULL_TIMERS, PhaseTimers
@@ -51,13 +48,6 @@ RATE_KEY_DECIMALS = 12
 #: intra-round hits, which is where all the savings are.
 ESTIMATE_MEMO_MAX = 65536
 SWEEP_MEMO_MAX = 256
-
-#: Feasible-space size below which the vectorized propose sweep falls back
-#: to the scalar per-config loop: on tiny fleets the numpy dispatch overhead
-#: exceeds the arithmetic it saves.  Above it the per-round cost is a few
-#: array expressions plus a handful of ConfigEstimate objects for the
-#: near-tie contenders, instead of one Python-level estimate per config.
-VECTOR_SWEEP_MIN_CONFIGS = 64
 
 #: Distinguishes "memoised as None (no feasible config)" from a memo miss.
 _MEMO_MISS = object()
@@ -101,6 +91,36 @@ class OptimizerDecision:
         return self.instance_delta < 0
 
 
+@dataclass(frozen=True, eq=False)
+class FleetView:
+    """Rate-independent columns of the feasible space on one fleet size.
+
+    Rows are :meth:`ConfigurationSpace.feasible` in enumeration order; the
+    cost columns are read from the controller's per-generation profile of
+    the space's ``(P, M, B)`` table.
+    """
+
+    data_degree: np.ndarray
+    pipeline_degree: np.ndarray
+    tensor_degree: np.ndarray
+    batch_size: np.ndarray
+    exec_latency: np.ndarray
+    throughput: np.ndarray
+    num_instances: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.data_degree)
+
+    def config(self, index: int) -> ParallelConfig:
+        """The configuration of row *index*."""
+        return ParallelConfig(
+            int(self.data_degree[index]),
+            int(self.pipeline_degree[index]),
+            int(self.tensor_degree[index]),
+            int(self.batch_size[index]),
+        )
+
+
 class ParallelizationController:
     """Adaptive configuration optimizer (Algorithm 1)."""
 
@@ -112,34 +132,21 @@ class ParallelizationController:
         latency_tie_margin: float = LATENCY_TIE_MARGIN,
         memoize: bool = True,
         timers: Optional[PhaseTimers] = None,
-        vectorize: bool = True,
     ) -> None:
         self.config_space = config_space
         self.profiler = profiler
         self.slo_latency = slo_latency
         self.latency_tie_margin = latency_tie_margin
         self.memoize = memoize
-        #: Batch the propose sweep's per-config cost evaluation with numpy
-        #: (bit-identical to the scalar loop; cross-checked by tests).
-        #: Falls back to the scalar path on small feasible spaces or when
-        #: numpy is unavailable.
-        self.vectorize = vectorize and np is not None
         self.timers = timers if timers is not None else NULL_TIMERS
         self._estimate_memo: Dict[Tuple[ParallelConfig, float], ConfigEstimate] = {}
-        self._estimates_memo: Dict[Tuple[int, float], List[ConfigEstimate]] = {}
-        #: Per-fleet-size static arrays backing the vectorized sweep
-        #: (configs in enumeration order + exec latency / throughput /
-        #: instance / batch / data-degree columns); invalidated with the
-        #: other memos when the profiler or config space moves.
-        self._vector_memo: Dict[int, Tuple] = {}
+        #: ``l_exe`` of every row of the space's (P, M, B) table, profiled
+        #: in one batched cost-model call per generation.
+        self._table_latency: Optional[np.ndarray] = None
+        #: Per-fleet-size views of the table with their cost columns.
+        self._view_memo: Dict[int, FleetView] = {}
         #: Memoised propose() outcomes per (available, max, rate) round key.
         self._propose_memo: Dict[Tuple[int, int, float], Optional[OptimizerDecision]] = {}
-        #: Rate-independent slice of an estimate per config -- (execution
-        #: latency, throughput, num_instances).  A fluctuating arrival rate
-        #: mints a fresh (config, rate) memo key every round, but these
-        #: values only depend on the profile, so they never need recomputing
-        #: until the profiler or config space moves.
-        self._static_memo: Dict[ParallelConfig, Tuple[float, float, int]] = {}
         self._profiler_generation = profiler.generation
         self._space_generation = config_space.generation
 
@@ -149,9 +156,8 @@ class ParallelizationController:
     def invalidate(self) -> None:
         """Drop memoised estimates (profile or cost-model inputs changed)."""
         self._estimate_memo.clear()
-        self._estimates_memo.clear()
-        self._static_memo.clear()
-        self._vector_memo.clear()
+        self._table_latency = None
+        self._view_memo.clear()
         self._propose_memo.clear()
         self._profiler_generation = self.profiler.generation
         self._space_generation = self.config_space.generation
@@ -188,27 +194,34 @@ class ParallelizationController:
     def _estimate_uncached(
         self, config: ParallelConfig, arrival_rate: float
     ) -> ConfigEstimate:
-        static = self._static_memo.get(config) if self.memoize else None
-        if static is None:
-            entry = self.profiler.profile(
-                config.data_degree,
-                config.pipeline_degree,
-                config.tensor_degree,
-                config.batch_size,
-            )
-            static = (
-                entry.latency,
-                entry.throughput,
-                config.num_instances(self.config_space.gpus_per_instance),
-            )
-            if self.memoize:
-                self._static_memo[config] = static
-        execution_latency, throughput, num_instances = static
-        request_latency = self._request_latency(execution_latency, throughput, config, arrival_rate)
+        entry = self.profiler.profile(
+            config.data_degree,
+            config.pipeline_degree,
+            config.tensor_degree,
+            config.batch_size,
+        )
+        return self._make_estimate(
+            config,
+            entry.latency,
+            entry.throughput,
+            config.num_instances(self.config_space.gpus_per_instance),
+            arrival_rate,
+        )
+
+    def _make_estimate(
+        self,
+        config: ParallelConfig,
+        execution_latency: float,
+        throughput: float,
+        num_instances: int,
+        arrival_rate: float,
+    ) -> ConfigEstimate:
         return ConfigEstimate(
             config=config,
             execution_latency=execution_latency,
-            request_latency=request_latency,
+            request_latency=self._request_latency(
+                execution_latency, throughput, config, arrival_rate
+            ),
             throughput=throughput,
             num_instances=num_instances,
         )
@@ -236,6 +249,51 @@ class ParallelizationController:
             / (2.0 * config.data_degree)
         )
         return execution_latency + batch_wait + queue_wait
+
+    # ------------------------------------------------------------------
+    # Fleet views
+    # ------------------------------------------------------------------
+    def fleet_view(self, num_instances: int) -> FleetView:
+        """The feasible space on *num_instances* instances with its cost columns.
+
+        The space's ``(P, M, B)`` table is profiled once per profiler and
+        config-space generation, in one batched cost-model call; a fleet
+        size then gathers its rows and derives throughput ``D * B / l_exe``
+        and the instance count as whole columns, with the exact operations
+        of :meth:`LatencyModel.throughput` and
+        :meth:`ParallelConfig.num_instances`.  Views are memoised per fleet
+        size; :meth:`invalidate` drops them with the other memos.
+        """
+        if self._memo_is_stale():
+            self.invalidate()
+        view = self._view_memo.get(num_instances)
+        if view is not None:
+            return view
+        table = self.config_space.table()
+        if self._table_latency is None:
+            self._table_latency = self.profiler.latency_table(
+                table.pipeline_degree, table.tensor_degree, table.batch_size
+            )
+        feasible = self.config_space.feasible(num_instances)
+        exec_latency = self._table_latency[feasible.rows]
+        with np.errstate(divide="ignore"):
+            throughput = np.where(
+                exec_latency > 0,
+                feasible.data_degree * feasible.batch_size / exec_latency,
+                float("inf"),
+            )
+        gpus = feasible.data_degree * feasible.pipeline_degree * feasible.tensor_degree
+        view = FleetView(
+            data_degree=feasible.data_degree,
+            pipeline_degree=feasible.pipeline_degree,
+            tensor_degree=feasible.tensor_degree,
+            batch_size=feasible.batch_size,
+            exec_latency=exec_latency,
+            throughput=throughput,
+            num_instances=-(-gpus // self.config_space.gpus_per_instance),
+        )
+        self._view_memo[num_instances] = view
+        return view
 
     # ------------------------------------------------------------------
     # Algorithm 1
@@ -291,119 +349,14 @@ class ParallelizationController:
                 self._propose_memo[memo_key] = decision
             return decision
 
-    def _select_best(
-        self, max_instances: int, arrival_rate: float
-    ) -> Optional[Tuple[ConfigEstimate, str]]:
-        """Pick Algorithm 1's winning configuration and its objective.
-
-        Dispatches to the numpy-vectorized sweep when it applies (large
-        feasible space, numpy importable) and to the reference scalar loop
-        otherwise.  The two paths are bit-identical -- same winner, same
-        estimate values -- which ``tests/test_controller_vectorized.py``
-        cross-checks over randomized fleets and rates.
-        """
-        if self.vectorize:
-            vectors = self._static_vectors(max_instances)
-            if vectors is not None:
-                return self._select_best_vector(vectors, arrival_rate)
-        return self._select_best_scalar(max_instances, arrival_rate)
-
-    def _select_best_scalar(
-        self, max_instances: int, arrival_rate: float
-    ) -> Optional[Tuple[ConfigEstimate, str]]:
-        """Reference per-config selection loop (Algorithm 1 lines 2-5)."""
-        # One cost-model pass over the feasible space; both objective
-        # branches filter this shared list instead of re-estimating.
-        all_estimates = self._estimates(
-            max_instances, arrival_rate, allow_infinite=True
-        )
-        reachable = [
-            est for est in all_estimates if est.execution_latency != float("inf")
-        ]
-        if not reachable:
-            return None
-
-        # Line 2-3: configurations that keep up with the arrival rate.
-        sustaining = [
-            est
-            for est in reachable
-            if est.throughput >= arrival_rate
-            and est.meets_rate
-            and self._meets_slo(est)
-        ]
-        if sustaining:
-            return self._pick_lowest_latency(sustaining), "latency"
-        # Line 5: no reachable configuration keeps up with the demand,
-        # so maximise throughput.  When the deployment may grow
-        # (on-demand mixing), the maximisation considers the larger
-        # fleet and the resulting positive delta triggers an
-        # allocation (lines 6-8); otherwise it is confined to the
-        # instances at hand.
-        return self._pick_highest_throughput(all_estimates), "throughput"
-
-    # ------------------------------------------------------------------
-    # Vectorized propose sweep
-    # ------------------------------------------------------------------
-    def _static_vectors(self, num_instances: int):
-        """Rate-independent columns of the feasible space, as numpy arrays.
-
-        Returns ``(configs, exec_latency, throughput, num_instances,
-        batch_size, data_degree)`` with rows in the exact
-        ``feasible_configs`` enumeration order (the scalar sweep's order,
-        which the tie-breaking sorts rely on), or ``None`` when the space
-        is too small for vectorization to pay off.  Cached per fleet size;
-        the profiler/config-space generation counters invalidate it through
-        :meth:`invalidate` like every other memo.
-        """
-        if self._memo_is_stale():
-            self.invalidate()
-        cached = self._vector_memo.get(num_instances)
-        if cached is not None:
-            return cached
-        configs = self.config_space.feasible_configs(num_instances)
-        if len(configs) < VECTOR_SWEEP_MIN_CONFIGS:
-            return None
-        count = len(configs)
-        exec_latency = np.empty(count)
-        throughput = np.empty(count)
-        instances = np.empty(count, dtype=np.int64)
-        batch = np.empty(count, dtype=np.int64)
-        data_degree = np.empty(count, dtype=np.int64)
-        static_memo = self._static_memo
-        gpus_per_instance = self.config_space.gpus_per_instance
-        for i, config in enumerate(configs):
-            static = static_memo.get(config)
-            if static is None:
-                entry = self.profiler.profile(
-                    config.data_degree,
-                    config.pipeline_degree,
-                    config.tensor_degree,
-                    config.batch_size,
-                )
-                static = (
-                    entry.latency,
-                    entry.throughput,
-                    config.num_instances(gpus_per_instance),
-                )
-                if self.memoize:
-                    static_memo[config] = static
-            exec_latency[i] = static[0]
-            throughput[i] = static[1]
-            instances[i] = static[2]
-            batch[i] = config.batch_size
-            data_degree[i] = config.data_degree
-        vectors = (configs, exec_latency, throughput, instances, batch, data_degree)
-        self._vector_memo[num_instances] = vectors
-        return vectors
-
-    def _vector_request_latency(self, vectors, arrival_rate: float):
-        """``l_req`` for every feasible config at once (column vector).
+    def _request_latency_column(self, view: FleetView, arrival_rate: float) -> np.ndarray:
+        """``l_req`` of every row of *view* at once.
 
         Replicates :meth:`_request_latency` operation for operation --
         identical expression ordering on IEEE-754 doubles -- so every
         element equals the scalar result bit for bit.
         """
-        _, exec_latency, throughput, _, batch, data_degree = vectors
+        exec_latency, throughput = view.exec_latency, view.throughput
         if arrival_rate <= 0:
             return exec_latency.copy()
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -412,99 +365,76 @@ class ParallelizationController:
             )
             result = np.full_like(exec_latency, float("inf"))
             ok = utilisation < 1.0
-            batch_wait = (batch[ok] - 1) / (2.0 * arrival_rate)
+            batch_wait = (view.batch_size[ok] - 1) / (2.0 * arrival_rate)
             queue_wait = (
                 utilisation[ok]
                 / (1.0 - utilisation[ok])
                 * exec_latency[ok]
-                / (2.0 * data_degree[ok])
+                / (2.0 * view.data_degree[ok])
             )
             result[ok] = exec_latency[ok] + batch_wait + queue_wait
         return result
 
-    def _select_best_vector(
-        self, vectors, arrival_rate: float
+    def _select_best(
+        self, max_instances: int, arrival_rate: float
     ) -> Optional[Tuple[ConfigEstimate, str]]:
-        """Vectorized Algorithm 1 selection over the pre-built columns.
+        """Pick Algorithm 1's winning configuration and its objective.
 
-        The heavy per-config work (request-latency evaluation, the
-        sustaining filter, the near-tie thresholds) runs as whole-array
-        numpy expressions; only the handful of near-tie contenders are
-        materialised as :class:`ConfigEstimate` objects and handed to the
-        exact same tie-breaking sorts as the scalar path, in the same
-        enumeration order -- so the winner (and its floats) are identical.
+        The per-config work (request latency, the sustaining filter, the
+        near-tie thresholds) runs as whole-column expressions over the
+        fleet view; only the near-tie contenders become
+        :class:`ConfigEstimate` objects, handed in enumeration order to the
+        tie-breaking sorts.  ``tests/test_controller_vectorized.py`` pins the
+        outcome against the per-config reference sweep.
         """
-        configs, exec_latency, throughput, _, _, _ = vectors
+        view = self.fleet_view(max_instances)
+        exec_latency, throughput = view.exec_latency, view.throughput
         inf = float("inf")
         reachable = exec_latency != inf
         if not reachable.any():
             return None
-        request_latency = self._vector_request_latency(vectors, arrival_rate)
+        request_latency = self._request_latency_column(view, arrival_rate)
+        # Lines 2-3: configurations that keep up with the arrival rate.
         sustaining = reachable & (throughput >= arrival_rate) & (request_latency != inf)
         if self.slo_latency is not None:
             sustaining &= request_latency <= self.slo_latency
         if sustaining.any():
             best_latency = request_latency[sustaining].min()
             threshold = best_latency * (1.0 + self.latency_tie_margin)
-            contender_idx = np.nonzero(sustaining & (request_latency <= threshold))[0]
-            contenders = [
-                self.estimate(configs[i], arrival_rate) for i in contender_idx
-            ]
-            return self._pick_lowest_latency(contenders), "latency"
-        best_throughput = throughput.max()
-        threshold = best_throughput * (1.0 - self.latency_tie_margin)
-        contender_idx = np.nonzero(throughput >= threshold)[0]
-        contenders = [self.estimate(configs[i], arrival_rate) for i in contender_idx]
-        return self._pick_highest_throughput(contenders), "throughput"
+            contenders = np.nonzero(sustaining & (request_latency <= threshold))[0]
+            return (
+                self._pick_lowest_latency(self._contenders(view, contenders, arrival_rate)),
+                "latency",
+            )
+        # Line 5: nothing reachable keeps up with the demand, so maximise
+        # throughput.  When the deployment may grow (on-demand mixing), the
+        # view covers the larger fleet and the resulting positive delta
+        # triggers an allocation (lines 6-8).
+        threshold = throughput.max() * (1.0 - self.latency_tie_margin)
+        contenders = np.nonzero(throughput >= threshold)[0]
+        return (
+            self._pick_highest_throughput(self._contenders(view, contenders, arrival_rate)),
+            "throughput",
+        )
+
+    def _contenders(
+        self, view: FleetView, rows: np.ndarray, arrival_rate: float
+    ) -> List[ConfigEstimate]:
+        """Estimates of the given *rows* of *view*, in enumeration order."""
+        return [
+            self._make_estimate(
+                view.config(row),
+                float(view.exec_latency[row]),
+                float(view.throughput[row]),
+                int(view.num_instances[row]),
+                arrival_rate,
+            )
+            for row in rows.tolist()
+        ]
 
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _estimates(
-        self,
-        num_instances: int,
-        arrival_rate: float,
-        allow_infinite: bool = False,
-    ) -> List[ConfigEstimate]:
-        estimates = self._all_estimates(num_instances, arrival_rate)
-        if allow_infinite:
-            return estimates
-        return [est for est in estimates if est.execution_latency != float("inf")]
-
-    def _all_estimates(
-        self, num_instances: int, arrival_rate: float
-    ) -> List[ConfigEstimate]:
-        """One estimate per feasible configuration, memoised per round key.
-
-        Workload checks, reconfiguration planning and fallback proposals of
-        the same round all ask for the same ``(fleet size, arrival rate)``
-        sweep; the list memo turns those repeats into a single dict hit.
-        """
-        if not self.memoize:
-            return [
-                self.estimate(config, arrival_rate)
-                for config in self.config_space.feasible_configs(num_instances)
-            ]
-        if self._memo_is_stale():
-            self.invalidate()
-        key = (num_instances, round(arrival_rate, RATE_KEY_DECIMALS))
-        hit = self._estimates_memo.get(key)
-        if hit is not None:
-            return list(hit)
-        estimates = [
-            self.estimate(config, arrival_rate)
-            for config in self.config_space.feasible_configs(num_instances)
-        ]
-        if len(self._estimates_memo) >= SWEEP_MEMO_MAX:
-            self._estimates_memo.clear()
-        self._estimates_memo[key] = estimates
-        return list(estimates)
-
-    def _meets_slo(self, estimate: ConfigEstimate) -> bool:
-        if self.slo_latency is None:
-            return True
-        return estimate.request_latency <= self.slo_latency
-
     def _pick_lowest_latency(self, estimates: Sequence[ConfigEstimate]) -> ConfigEstimate:
         """Lowest request latency; near-ties resolved by monetary cost then GPUs."""
         best_latency = min(est.request_latency for est in estimates)

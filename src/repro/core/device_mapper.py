@@ -79,17 +79,6 @@ class DeviceMapping:
             return 1.0
         return min(self.reused_bytes / self.required_bytes, 1.0)
 
-    def position_of(self, device_id: DeviceId) -> Optional[TopologyPosition]:
-        """Position assigned to *device_id* (None when unused)."""
-        return self.placement.get(device_id)
-
-    def device_at(self, position: TopologyPosition) -> Optional[DeviceId]:
-        """Device assigned to *position* (None when unfilled)."""
-        for device_id, assigned in self.placement.items():
-            if assigned == position:
-                return device_id
-        return None
-
     @property
     def unassigned_positions(self) -> List[TopologyPosition]:
         """Positions of the target mesh that received no device."""

@@ -57,11 +57,6 @@ class LatencyStats:
         return self.percentiles[90]
 
     @property
-    def p95(self) -> float:
-        """95th percentile latency."""
-        return self.percentiles[95]
-
-    @property
     def p99(self) -> float:
         """99th percentile tail latency (the paper's headline metric)."""
         return self.percentiles[99]

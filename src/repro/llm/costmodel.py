@@ -143,13 +143,8 @@ class LatencyModel:
             setattr(self, name, lru_cache(maxsize=None)(method))
         if calibrate and self.model.name in TABLE1_REFERENCE:
             (p_ref, m_ref), target = TABLE1_REFERENCE[self.model.name]
-            raw = self._uncalibrated_l_exe(
-                DEFAULT_OUTPUT_LENGTH,
-                DEFAULT_INPUT_LENGTH,
-                pipeline_degree=p_ref,
-                tensor_degree=m_ref,
-                batch_size=1,
-            )
+            # The factor is still 1.0, so this is the raw reference latency.
+            raw = self._uncached_entry_points["l_exe"](p_ref, m_ref, 1)
             if raw > 0:
                 self._calibration = target / raw
 
@@ -181,64 +176,63 @@ class LatencyModel:
         return info
 
     # ------------------------------------------------------------------
-    # Building blocks
+    # Building blocks: one value per (P, M, B) row
     # ------------------------------------------------------------------
-    def _collective_bandwidth(self, tensor_degree: int) -> float:
-        """Effective per-GPU bandwidth for all-reduce within a tensor group."""
-        if tensor_degree <= self.params.gpus_per_instance:
-            raw = self.network.intra_instance_bandwidth
-        else:
-            raw = self.network.inter_instance_bandwidth
-        return raw * self.params.collective_efficiency
-
-    def _allreduce_time(self, payload_bytes: float, tensor_degree: int) -> float:
+    def _allreduce_time(self, payload_bytes: np.ndarray, tensor_degree: np.ndarray) -> np.ndarray:
         """Ring all-reduce time for *payload_bytes* across *tensor_degree* GPUs."""
-        if tensor_degree <= 1 or payload_bytes <= 0:
-            return 0.0
-        bandwidth = self._collective_bandwidth(tensor_degree)
-        ring_factor = 2.0 * (tensor_degree - 1) / tensor_degree
-        if tensor_degree <= self.params.gpus_per_instance:
-            latency = self.params.collective_latency_intra
-        else:
-            latency = self.params.collective_latency_inter
-        return ring_factor * payload_bytes / bandwidth + latency
-
-    def _pipeline_handoff_time(self, payload_bytes: float, pipeline_degree: int) -> float:
-        """Cross-stage activation transfer cost for one traversal of the pipeline."""
-        if pipeline_degree <= 1 or payload_bytes <= 0:
-            return 0.0
-        hops = pipeline_degree - 1
-        return hops * (
-            payload_bytes / self.network.inter_instance_bandwidth
-            + self.network.per_transfer_latency
+        params, network = self.params, self.network
+        # Tensor groups wider than an instance pay the inter-instance
+        # bandwidth and startup latency (the over-sharding penalty).
+        intra = tensor_degree <= params.gpus_per_instance
+        bandwidth = (
+            np.where(intra, network.intra_instance_bandwidth, network.inter_instance_bandwidth)
+            * params.collective_efficiency
         )
+        latency = np.where(
+            intra, params.collective_latency_intra, params.collective_latency_inter
+        )
+        ring_factor = 2.0 * (tensor_degree - 1) / tensor_degree
+        time = ring_factor * payload_bytes / bandwidth + latency
+        return np.where((tensor_degree <= 1) | (payload_bytes <= 0), 0.0, time)
 
-    def _activation_bytes(self, batch_size: int, tokens: int = 1) -> float:
+    def _pipeline_handoff_time(
+        self, payload_bytes: np.ndarray, pipeline_degree: np.ndarray
+    ) -> np.ndarray:
+        """Cross-stage activation transfer cost for one traversal of the pipeline."""
+        network = self.network
+        time = (pipeline_degree - 1) * (
+            payload_bytes / network.inter_instance_bandwidth
+            + network.per_transfer_latency
+        )
+        return np.where((pipeline_degree <= 1) | (payload_bytes <= 0), 0.0, time)
+
+    def _activation_bytes(self, batch_size: np.ndarray, tokens: int = 1) -> np.ndarray:
         """Bytes of a hidden-state activation tensor for *tokens* per sequence."""
         return 2.0 * self.model.hidden_size * batch_size * max(tokens, 1)
 
     # ------------------------------------------------------------------
-    # Phase latencies (uncalibrated internals)
+    # Phase latencies (uncalibrated internals, one value per row)
     # ------------------------------------------------------------------
     def _decode_raw(
         self,
         first_context: int,
         num_tokens: int,
-        pipeline_degree: int,
-        tensor_degree: int,
-        batch_size: int,
-    ) -> float:
-        """Summed raw latency of *num_tokens* decoding iterations.
+        pipeline_degree: np.ndarray,
+        tensor_degree: np.ndarray,
+        batch_size: np.ndarray,
+    ) -> np.ndarray:
+        """Summed raw latency of *num_tokens* decoding iterations per row.
 
         Iteration ``i`` (0-based) attends over ``first_context + i`` tokens.
-        The context-invariant terms are computed once; the per-token terms are
-        one float64 vector that keeps the scalar operation order, and
-        ``np.add.accumulate`` sums it strictly left to right (``np.sum`` is
-        pairwise and would change the last bits of every digest).
+        The context-invariant terms are one value per row; the per-token
+        terms form one ``rows x num_tokens`` float64 matrix, evaluated in a
+        single buffer in the scalar operation order.  ``np.add.accumulate``
+        sums each row strictly left to right (``np.sum`` is pairwise and
+        would change the last bits of every digest), so every row equals
+        the one-config evaluation bit for bit.
         """
-        _check_parallelism(pipeline_degree, tensor_degree, batch_size)
         if num_tokens <= 0:
-            return 0.0
+            return np.zeros(len(batch_size))
         model, params = self.model, self.params
         layers_per_stage = model.num_layers / pipeline_degree
         # Weight streaming: every resident parameter is read once per token.
@@ -250,12 +244,9 @@ class LatencyModel:
             self.gpu.memory_bandwidth * params.memory_efficiency
         )
         # Two all-reduces per layer (attention output + FFN output).
-        allreduce = 2.0 * layers_per_stage * self._allreduce_time(
-            self._activation_bytes(batch_size), tensor_degree
-        )
-        handoff = self._pipeline_handoff_time(
-            self._activation_bytes(batch_size), pipeline_degree
-        )
+        activation = self._activation_bytes(batch_size)
+        allreduce = 2.0 * layers_per_stage * self._allreduce_time(activation, tensor_degree)
+        handoff = self._pipeline_handoff_time(activation, pipeline_degree)
         # ``ModelSpec.flops_per_token`` split into its constant and
         # context-proportional terms.
         matmul = 2.0 * model.num_layers * model.params_per_layer
@@ -265,54 +256,42 @@ class LatencyModel:
             np.arange(first_context, first_context + num_tokens), 1
         )
         flops_per_token = matmul + attention_per_context * contexts + lm_head
-        # Compute lower bound (per stage, per GPU).
-        flops_per_stage = (
-            batch_size
-            * flops_per_token
-            * (layers_per_stage / model.num_layers)
-            / tensor_degree
-        )
-        compute_time_per_stage = flops_per_stage / (
-            self._decode_peak_flops() * params.decode_compute_efficiency
-        )
-        per_stage = (
-            np.maximum(memory_time_per_stage, compute_time_per_stage) + allreduce
-        )
-        iterations = (
-            pipeline_degree * per_stage + handoff + params.per_iteration_overhead
-        )
-        return float(np.add.accumulate(iterations)[-1])
+        # Per row and token: max(memory, compute lower bound) per stage plus
+        # the all-reduces, times P stages, plus hand-offs and overhead.
+        column = (slice(None), None)
+        iterations = np.multiply(batch_size[column], flops_per_token)
+        iterations *= (layers_per_stage / model.num_layers)[column]
+        iterations /= tensor_degree[column]
+        iterations /= self._decode_peak_flops() * params.decode_compute_efficiency
+        np.maximum(memory_time_per_stage[column], iterations, out=iterations)
+        iterations += allreduce[column]
+        np.multiply(pipeline_degree[column], iterations, out=iterations)
+        iterations += handoff[column]
+        iterations += params.per_iteration_overhead
+        np.add.accumulate(iterations, axis=1, out=iterations)
+        return iterations[:, -1].copy()
 
     def _prefill_raw(
         self,
         input_length: int,
-        pipeline_degree: int,
-        tensor_degree: int,
-        batch_size: int,
-    ) -> float:
-        _check_parallelism(pipeline_degree, tensor_degree, batch_size)
+        pipeline_degree: np.ndarray,
+        tensor_degree: np.ndarray,
+        batch_size: np.ndarray,
+    ) -> np.ndarray:
         if input_length <= 0:
-            return 0.0
-        total_flops = (
-            batch_size
-            * 2.0
-            * self.model.total_params
-            * input_length
-        )
-        peak = self._decode_peak_flops()
+            return np.zeros(len(batch_size))
+        total_flops = batch_size * 2.0 * self.model.total_params * input_length
         compute_time = total_flops / (
             pipeline_degree
             * tensor_degree
-            * peak
+            * self._decode_peak_flops()
             * self.params.prefill_compute_efficiency
         )
-        layers = self.model.num_layers
-        allreduce = 2.0 * layers * self._allreduce_time(
-            self._activation_bytes(batch_size, input_length), tensor_degree
+        activation = self._activation_bytes(batch_size, input_length)
+        allreduce = 2.0 * self.model.num_layers * self._allreduce_time(
+            activation, tensor_degree
         )
-        handoff = self._pipeline_handoff_time(
-            self._activation_bytes(batch_size, input_length), pipeline_degree
-        )
+        handoff = self._pipeline_handoff_time(activation, pipeline_degree)
         return compute_time + allreduce + handoff
 
     def _decode_peak_flops(self) -> float:
@@ -321,23 +300,28 @@ class LatencyModel:
             return self.gpu.fp16_flops
         return self.gpu.fp32_flops
 
-    def _uncalibrated_l_exe(
-        self,
-        output_length: int,
-        input_length: int,
-        pipeline_degree: int,
-        tensor_degree: int,
-        batch_size: int,
-    ) -> float:
-        prefill = self._prefill_raw(input_length, pipeline_degree, tensor_degree, batch_size)
-        decode = self._decode_raw(
-            input_length + 1, output_length, pipeline_degree, tensor_degree, batch_size
-        )
-        return prefill + decode + self.params.per_request_overhead
-
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
+    def l_exe_table(
+        self,
+        pipeline_degrees,
+        tensor_degrees,
+        batch_sizes,
+        input_length: int = DEFAULT_INPUT_LENGTH,
+        output_length: int = DEFAULT_OUTPUT_LENGTH,
+    ) -> np.ndarray:
+        """``l_exe(S_out | S_in)`` of Eq. (1) for every ``(P, M, B)`` row at once.
+
+        This is the cost model's one evaluation path: the scalar entry
+        points call it (or its phase terms) on a single row.  Rows never
+        mix, so a row's value does not depend on which rows share the call.
+        """
+        rows = _rows(pipeline_degrees, tensor_degrees, batch_sizes)
+        prefill = self._prefill_raw(input_length, *rows)
+        decode = self._decode_raw(input_length + 1, output_length, *rows)
+        return self._calibration * (prefill + decode + self.params.per_request_overhead)
+
     def decode_iteration_time(
         self,
         pipeline_degree: int,
@@ -346,9 +330,8 @@ class LatencyModel:
         context_length: int = DEFAULT_INPUT_LENGTH,
     ) -> float:
         """Latency of one incremental decoding iteration, ``t_exe(1)`` in Eq. (2)."""
-        return self._calibration * self._decode_raw(
-            context_length, 1, pipeline_degree, tensor_degree, batch_size
-        )
+        rows = _rows((pipeline_degree,), (tensor_degree,), (batch_size,))
+        return float(self._calibration * self._decode_raw(context_length, 1, *rows)[0])
 
     def prefill_time(
         self,
@@ -358,9 +341,8 @@ class LatencyModel:
         input_length: int = DEFAULT_INPUT_LENGTH,
     ) -> float:
         """Latency of the initial phase over the prompt, ``t_exe(S_in)`` in Eq. (1)."""
-        return self._calibration * self._prefill_raw(
-            input_length, pipeline_degree, tensor_degree, batch_size
-        )
+        rows = _rows((pipeline_degree,), (tensor_degree,), (batch_size,))
+        return float(self._calibration * self._prefill_raw(input_length, *rows)[0])
 
     def l_exe(
         self,
@@ -371,8 +353,14 @@ class LatencyModel:
         output_length: int = DEFAULT_OUTPUT_LENGTH,
     ) -> float:
         """End-to-end execution latency ``l_exe(S_out | S_in)`` of Eq. (1)."""
-        return self._calibration * self._uncalibrated_l_exe(
-            output_length, input_length, pipeline_degree, tensor_degree, batch_size
+        return float(
+            self.l_exe_table(
+                (pipeline_degree,),
+                (tensor_degree,),
+                (batch_size,),
+                input_length,
+                output_length,
+            )[0]
         )
 
     def throughput(
@@ -399,8 +387,17 @@ class LatencyModel:
         return data_degree * batch_size / latency
 
 
-def _check_parallelism(pipeline_degree: int, tensor_degree: int, batch_size: int) -> None:
-    if pipeline_degree <= 0 or tensor_degree <= 0:
+def _rows(pipeline_degrees, tensor_degrees, batch_sizes) -> Tuple[np.ndarray, ...]:
+    """``(P, M, B)`` as equal-length int64 row arrays; non-positive values are rejected."""
+    rows = tuple(
+        np.asarray(values, dtype=np.int64).reshape(-1)
+        for values in (pipeline_degrees, tensor_degrees, batch_sizes)
+    )
+    pipeline, tensor, batch = rows
+    if not len(pipeline) == len(tensor) == len(batch):
+        raise ValueError("P, M and B need one value per row")
+    if (pipeline <= 0).any() or (tensor <= 0).any():
         raise ValueError("parallel degrees must be positive")
-    if batch_size <= 0:
+    if (batch <= 0).any():
         raise ValueError("batch_size must be positive")
+    return rows

@@ -5,13 +5,17 @@ negligible overhead because "the latency estimation of different
 configurations is done offline in advance".  :class:`OfflineProfiler` plays
 that role here: it sweeps every candidate configuration once, evaluates the
 analytic :class:`~repro.llm.costmodel.LatencyModel`, and exposes cached
-lookups that the controller then queries in O(1).
+lookups that the controller then queries in O(1).  The controller profiles
+its whole search space through :meth:`OfflineProfiler.latency_table`, one
+batched evaluation per configuration-space generation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from .costmodel import DEFAULT_INPUT_LENGTH, DEFAULT_OUTPUT_LENGTH, LatencyModel
 from .memory import MemoryModel
@@ -125,6 +129,20 @@ class OfflineProfiler:
         )
         self._cache[key] = entry
         return entry
+
+    def latency_table(self, pipeline_degrees, tensor_degrees, batch_sizes) -> np.ndarray:
+        """``l_exe`` of every ``(P, M, B)`` row at the profiled sequence lengths.
+
+        One batched cost-model evaluation; each element equals the
+        :attr:`ProfileEntry.latency` that :meth:`profile` records for the row.
+        """
+        return self.latency_model.l_exe_table(
+            pipeline_degrees,
+            tensor_degrees,
+            batch_sizes,
+            self.input_length,
+            self.output_length,
+        )
 
     def sweep(
         self,

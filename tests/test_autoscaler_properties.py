@@ -20,6 +20,8 @@ arbitrage must uphold on all of them:
 Every sweep is seeded, so failures reproduce exactly.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -33,29 +35,23 @@ from repro.core.autoscaler import (
     ZoneView,
     make_autoscaler,
 )
-from repro.core.config import ParallelConfig
-from repro.core.controller import ConfigEstimate
 
 #: Random markets per property sweep (seeded -- deterministic across runs).
 MARKETS = 300
 
 
-class StubSpace:
-    """Duck-typed ConfigurationSpace: a ladder of data-parallel configs."""
-
-    def feasible_configs(self, cap):
-        return [ParallelConfig(d, 1, 4, 2) for d in range(1, max(int(cap), 1) + 1)]
-
-
 class StubController:
-    """Duck-typed controller with a linear throughput model (0.4 req/s per
-    instance), enough for the cost-aware policy's sweep logic."""
+    """Duck-typed controller whose fleet view is a ladder of data-parallel
+    configs with a linear throughput model (0.4 req/s per instance), enough
+    for the cost-aware policy's sweep logic."""
 
-    config_space = StubSpace()
-
-    def estimate(self, config, rate):
-        n = config.data_degree
-        return ConfigEstimate(config, 1.0, 1.0, 0.4 * n, n)
+    def fleet_view(self, cap):
+        instances = np.arange(1, max(int(cap), 1) + 1)
+        return SimpleNamespace(
+            exec_latency=np.ones(len(instances)),
+            throughput=0.4 * instances,
+            num_instances=instances,
+        )
 
 
 def make_policies():

@@ -1,24 +1,23 @@
-"""Vectorized propose sweep: bit-identity against the scalar reference.
+"""Fleet-view propose sweep: bit-identity against the per-config reference.
 
-The PR-5 fast path batches Algorithm 1's per-config cost evaluation
-(request latency, the sustaining filter, the near-tie thresholds) into
-whole-array numpy expressions.  None of that may change a single decision:
-this suite cross-checks the vectorized controller against the scalar
-reference loop over randomized fleets, growth budgets and arrival rates --
-same winning config, same objective, same instance delta, and the winning
-estimate's floats equal bit for bit -- plus the memo/invalidaton contract
-the controller's other caches already obey.
+The controller profiles the space's ``(P, M, B)`` table once per
+generation and scores every configuration of a fleet size as whole numpy
+columns (request latency, the sustaining filter, the near-tie thresholds).
+None of that may change a single decision: this suite cross-checks the
+production controller against the per-config reference sweep in
+``tests/oracles/scalar_controller.py`` over randomized fleets, growth budgets
+and arrival rates -- same winning config, same objective, same instance
+delta, and the winning estimate's floats equal bit for bit -- plus the
+memo/invalidation contract the controller's other caches already obey.
 """
 
 import random
 
 import pytest
 
+from oracles.scalar_controller import ScalarConfigurationSpace, ScalarController
 from repro.core.config import ConfigurationSpace
-from repro.core.controller import (
-    VECTOR_SWEEP_MIN_CONFIGS,
-    ParallelizationController,
-)
+from repro.core.controller import ParallelizationController
 from repro.llm.costmodel import LatencyModel
 from repro.llm.memory import MemoryModel
 from repro.llm.profiler import OfflineProfiler
@@ -27,13 +26,15 @@ from repro.llm.spec import get_model
 MODELS = ("OPT-6.7B", "GPT-20B")
 
 
-def make_controller(model_name, vectorize, **kwargs):
+def make_controller(model_name, oracle=False, **kwargs):
     model = get_model(model_name)
     latency_model = LatencyModel(model)
     memory_model = MemoryModel(model)
-    space = ConfigurationSpace(model, memory_model)
+    space_cls = ScalarConfigurationSpace if oracle else ConfigurationSpace
+    controller_cls = ScalarController if oracle else ParallelizationController
+    space = space_cls(model, memory_model)
     profiler = OfflineProfiler(latency_model, memory_model)
-    return ParallelizationController(space, profiler, vectorize=vectorize, **kwargs)
+    return controller_cls(space, profiler, **kwargs)
 
 
 def assert_same_decision(a, b, context=""):
@@ -53,8 +54,8 @@ def assert_same_decision(a, b, context=""):
 class TestVectorizedMatchesScalar:
     @pytest.mark.parametrize("model_name", MODELS)
     def test_randomized_fleets_and_rates(self, model_name):
-        vectorized = make_controller(model_name, vectorize=True)
-        scalar = make_controller(model_name, vectorize=False)
+        production = make_controller(model_name)
+        scalar = make_controller(model_name, oracle=True)
         rng = random.Random(hash(model_name) & 0xFFFF)
         for trial in range(150):
             available = rng.randint(1, 40)
@@ -68,7 +69,7 @@ class TestVectorizedMatchesScalar:
                     rng.uniform(30.0, 300.0),
                 ]
             )
-            a = vectorized.propose(available, rate, max_instances=available + extra)
+            a = production.propose(available, rate, max_instances=available + extra)
             b = scalar.propose(available, rate, max_instances=available + extra)
             assert_same_decision(
                 a, b, f"model={model_name} N={available}+{extra} rate={rate}"
@@ -76,59 +77,68 @@ class TestVectorizedMatchesScalar:
 
     def test_slo_filter_matches(self):
         for slo in (5.0, 12.0, 60.0):
-            vectorized = make_controller("OPT-6.7B", vectorize=True, slo_latency=slo)
-            scalar = make_controller("OPT-6.7B", vectorize=False, slo_latency=slo)
+            production = make_controller("OPT-6.7B", slo_latency=slo)
+            scalar = make_controller("OPT-6.7B", oracle=True, slo_latency=slo)
             rng = random.Random(int(slo))
             for _ in range(40):
                 available = rng.randint(1, 36)
                 rate = rng.uniform(0.01, 20.0)
                 assert_same_decision(
-                    vectorized.propose(available, rate),
+                    production.propose(available, rate),
                     scalar.propose(available, rate),
                     f"slo={slo} N={available} rate={rate}",
                 )
 
     def test_memoize_disabled_still_matches(self):
-        vectorized = make_controller("OPT-6.7B", vectorize=True, memoize=False)
-        scalar = make_controller("OPT-6.7B", vectorize=False, memoize=False)
+        production = make_controller("OPT-6.7B", memoize=False)
+        scalar = make_controller("OPT-6.7B", oracle=True, memoize=False)
         for available, rate in [(36, 4.2), (36, 4.2), (12, 0.7), (3, 19.0)]:
             assert_same_decision(
-                vectorized.propose(available, rate),
+                production.propose(available, rate),
                 scalar.propose(available, rate),
                 f"N={available} rate={rate}",
             )
 
     def test_zero_fleet_is_infeasible_on_both_paths(self):
-        vectorized = make_controller("OPT-6.7B", vectorize=True)
-        scalar = make_controller("OPT-6.7B", vectorize=False)
-        assert vectorized.propose(0, 1.0) is None
+        production = make_controller("OPT-6.7B")
+        scalar = make_controller("OPT-6.7B", oracle=True)
+        assert production.propose(0, 1.0) is None
         assert scalar.propose(0, 1.0) is None
 
 
 class TestVectorPathEngages:
     def test_large_fleet_uses_the_vector_cache(self):
-        controller = make_controller("OPT-6.7B", vectorize=True)
+        controller = make_controller("OPT-6.7B")
         fleet = 36
-        assert (
-            len(controller.config_space.feasible_configs(fleet))
-            >= VECTOR_SWEEP_MIN_CONFIGS
-        )
         controller.propose(fleet, 3.0)
-        assert fleet in controller._vector_memo
+        assert fleet in controller._view_memo
+        view = controller._view_memo[fleet]
+        configs = controller.config_space.feasible_configs(fleet)
+        assert [view.config(i) for i in range(len(view))] == configs
 
-    def test_small_space_falls_back_to_scalar(self):
-        controller = make_controller("OPT-6.7B", vectorize=True)
+    def test_small_space_uses_the_vector_cache_too(self):
+        # No scalar fallback: a one-instance fleet reads its view as well,
+        # and still decides exactly like the reference sweep.
+        controller = make_controller("OPT-6.7B")
         fleet = 1
-        assert (
-            len(controller.config_space.feasible_configs(fleet))
-            < VECTOR_SWEEP_MIN_CONFIGS
-        )
         decision = controller.propose(fleet, 0.2)
         assert decision is not None
-        assert fleet not in controller._vector_memo
+        assert fleet in controller._view_memo
+        assert_same_decision(
+            decision, make_controller("OPT-6.7B", oracle=True).propose(fleet, 0.2)
+        )
+
+    def test_table_is_profiled_once_for_every_fleet_size(self):
+        controller = make_controller("OPT-6.7B")
+        controller.propose(4, 1.0)
+        table_latency = controller._table_latency
+        for fleet in (1, 8, 36):
+            controller.propose(fleet, 1.0)
+        assert controller._table_latency is table_latency
+        assert controller.profiler.cached_entries() == []
 
     def test_propose_memo_hits_within_a_round(self):
-        controller = make_controller("OPT-6.7B", vectorize=True)
+        controller = make_controller("OPT-6.7B")
         first = controller.propose(36, 3.0, max_instances=40)
         again = controller.propose(36, 3.0, max_instances=40)
         assert again is first  # same frozen decision object from the memo
@@ -136,23 +146,23 @@ class TestVectorPathEngages:
 
 class TestInvalidation:
     def test_space_mutation_drops_vector_and_propose_memos(self):
-        controller = make_controller("OPT-6.7B", vectorize=True)
+        controller = make_controller("OPT-6.7B")
         before = controller.propose(36, 3.0)
-        assert controller._vector_memo and controller._propose_memo
+        assert controller._view_memo and controller._propose_memo
         # Shrinking the feasible space (larger reserved migration buffer)
         # must invalidate: the old winner may no longer fit.
         controller.config_space.migration_buffer_bytes = 2e9
         after = controller.propose(36, 3.0)
         assert controller.config_space.fits(after.config)
-        scalar = make_controller("OPT-6.7B", vectorize=False)
+        scalar = make_controller("OPT-6.7B", oracle=True)
         scalar.config_space.migration_buffer_bytes = 2e9
         assert_same_decision(after, scalar.propose(36, 3.0), "post-invalidation")
         assert before is not after
 
     def test_profiler_clear_invalidates(self):
-        controller = make_controller("OPT-6.7B", vectorize=True)
+        controller = make_controller("OPT-6.7B")
         controller.propose(36, 3.0)
-        assert controller._vector_memo
+        assert controller._view_memo
         controller.profiler.clear()
         controller.propose(36, 3.0)
         # The memos were rebuilt against the new generation, not reused.

@@ -1,7 +1,11 @@
 """Tests for the autoscaling policies and the zone-arbitraging autoscaler."""
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
+from oracles.scalar_controller import ScalarConfigurationSpace
 from repro.core.autoscaler import (
     Autoscaler,
     AutoscaleSignal,
@@ -173,15 +177,13 @@ class TestCostAwarePolicy:
             slow_big: ConfigEstimate(slow_big, 2.0, 2.0, 25.0, 4),
         }
 
-        class StubSpace:
-            def feasible_configs(self, cap):
-                return list(estimates)
-
         class StubController:
-            config_space = StubSpace()
-
-            def estimate(self, config, rate):
-                return estimates[config]
+            def fleet_view(self, cap):
+                return SimpleNamespace(
+                    exec_latency=np.array([e.execution_latency for e in estimates.values()]),
+                    throughput=np.array([e.throughput for e in estimates.values()]),
+                    num_instances=np.array([e.num_instances for e in estimates.values()]),
+                )
 
         policy = CostAwarePolicy(StubController())
         desired = policy.desired_instances(make_signal(arrival_rate=50.0))
@@ -420,13 +422,21 @@ class TestCostAwareSweepCache:
                 controller, policy, signal
             ), f"divergence at rate {rate}"
 
-    def test_repeated_rounds_hit_the_cache(self, controller):
-        policy = CostAwarePolicy(controller)
+    def test_repeated_rounds_hit_the_cache(self):
+        model = get_model("OPT-6.7B")
+        memory_model = MemoryModel(model, T4)
+        fresh_controller = ParallelizationController(
+            ConfigurationSpace(model, memory_model, gpus_per_instance=4),
+            OfflineProfiler(LatencyModel(model, T4), memory_model),
+        )
+        policy = CostAwarePolicy(fresh_controller)
         policy.desired_instances(make_signal(arrival_rate=0.4))
-        assert len(policy._sweep_cache) == 1
+        assert len(fresh_controller._view_memo) == 1
+        view = next(iter(fresh_controller._view_memo.values()))
         policy.desired_instances(make_signal(arrival_rate=0.9))
         policy.desired_instances(make_signal(arrival_rate=2.2))
-        assert len(policy._sweep_cache) == 1  # same cap + generations
+        assert len(fresh_controller._view_memo) == 1  # same cap + generations
+        assert next(iter(fresh_controller._view_memo.values())) is view
 
     def test_cache_invalidated_when_profiler_moves(self):
         model = get_model("OPT-6.7B")
@@ -437,8 +447,27 @@ class TestCostAwareSweepCache:
         fresh_controller = ParallelizationController(space, profiler)
         policy = CostAwarePolicy(fresh_controller)
         before = policy.desired_instances(make_signal(arrival_rate=0.6))
-        keys_before = set(policy._sweep_cache)
+        views_before = list(fresh_controller._view_memo.values())
         profiler.clear()  # bumps the generation counter
         after = policy.desired_instances(make_signal(arrival_rate=0.6))
-        assert set(policy._sweep_cache) != keys_before  # fresh epoch key
+        views_after = list(fresh_controller._view_memo.values())
+        assert len(views_after) == 1
+        assert all(view is not views_after[0] for view in views_before)  # fresh epoch
         assert before == after  # same profile content -> same decision
+
+    @pytest.mark.parametrize("model_name", ["OPT-6.7B", "GPT-20B", "LLaMA-30B"])
+    def test_throughput_by_count_matches_per_config_loop(self, model_name):
+        model = get_model(model_name)
+        memory_model = MemoryModel(model, T4)
+        profiler = OfflineProfiler(LatencyModel(model, T4), memory_model)
+        space = ScalarConfigurationSpace(model, memory_model, gpus_per_instance=4)
+        policy = CostAwarePolicy(ParallelizationController(space, profiler))
+        for cap in (0, 1, 3, 4, 7, 12, 32, 48):
+            expected = {}
+            for config in space.feasible_configs(cap):  # the nested-loop oracle
+                estimate = policy.controller.estimate(config, 0.0)
+                if estimate.execution_latency == float("inf"):
+                    continue
+                n = estimate.num_instances
+                expected[n] = max(expected.get(n, 0.0), estimate.throughput)
+            assert policy._best_throughput_by_count(cap) == expected, (model_name, cap)

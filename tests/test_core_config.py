@@ -79,6 +79,27 @@ class TestConfigurationSpace:
         with pytest.raises(ValueError):
             ConfigurationSpace(GPT_20B, batch_sizes=())
 
+    @pytest.mark.parametrize("batch_sizes", [(0,), (4, 0, 8), (-1, 2)])
+    def test_non_positive_batch_sizes_rejected(self, batch_sizes):
+        with pytest.raises(ValueError, match="batch_sizes"):
+            ConfigurationSpace(GPT_20B, batch_sizes=batch_sizes)
+
+    @pytest.mark.parametrize("tensor_degrees", [(), (0,), (1, -2, 4)])
+    def test_empty_or_non_positive_tensor_degrees_rejected(self, tensor_degrees):
+        with pytest.raises(ValueError, match="tensor_degrees"):
+            ConfigurationSpace(GPT_20B, tensor_degrees=tensor_degrees)
+
+    @pytest.mark.parametrize("gpus_per_instance", [0, -4])
+    def test_non_positive_gpus_per_instance_rejected(self, gpus_per_instance):
+        # Used to build an empty space silently.
+        with pytest.raises(ValueError, match="gpus_per_instance"):
+            ConfigurationSpace(GPT_20B, gpus_per_instance=gpus_per_instance)
+
+    @pytest.mark.parametrize("max_data_degree", [0, -1])
+    def test_non_positive_max_data_degree_rejected(self, max_data_degree):
+        with pytest.raises(ValueError, match="max_data_degree"):
+            ConfigurationSpace(GPT_20B, max_data_degree=max_data_degree)
+
     @given(instances=st.integers(min_value=1, max_value=8))
     @settings(max_examples=10, deadline=None)
     def test_space_grows_with_fleet(self, instances):

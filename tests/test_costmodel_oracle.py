@@ -1,20 +1,28 @@
-"""Differential tests: the vectorised cost model against its scalar oracles.
+"""Differential tests: the batched cost model and fleet views against scalar oracles.
 
-The decode sum in :mod:`repro.llm.costmodel` is one float64 vector summed
-left to right, and :class:`repro.core.config.ConfigurationSpace` memoises the
-memory fit per ``(P, M, B)``.  Every float and every enumeration must stay
-bit-identical to the per-token loop and the unmemoised scan they replaced,
-because the golden digests hash simulated outcomes to the last bit.
+:mod:`repro.llm.costmodel` evaluates ``l_exe`` for many ``(P, M, B)`` rows
+in one ``rows x S_out`` matrix summed left to right per row; the scalar
+entry points are the same function on one row.
+:class:`repro.core.config.ConfigurationSpace` enumerates its memory-fitting
+``(P, M, B)`` table once and reads every fleet size as a view of it, and the
+controller adds cost columns to those views.  Every float and every
+enumeration must stay bit-identical to the per-token loop, the nested-loop
+enumeration and the per-config ``profile`` calls they replaced, because the
+golden digests hash simulated outcomes to the last bit.
 """
 
 import random
 
+import numpy as np
 import pytest
 
+from oracles.scalar_controller import ScalarConfigurationSpace
 from oracles.scalar_costmodel import ScalarLatencyModel
 from repro.core.config import ConfigurationSpace, ParallelConfig
+from repro.core.controller import ParallelizationController
 from repro.llm.costmodel import LatencyModel
 from repro.llm.memory import MemoryModel
+from repro.llm.profiler import OfflineProfiler
 from repro.llm.spec import GPT_20B, LLAMA_30B, MODEL_CATALOG, OPT_6_7B
 
 PIPELINE_DEGREES = range(1, 97)
@@ -28,26 +36,32 @@ def test_cost_model_matches_scalar_oracle_exactly(name):
     fast = LatencyModel(name)
     oracle = ScalarLatencyModel(name)
     assert fast.calibration_factor == oracle.calibration_factor
-    for p in PIPELINE_DEGREES:
-        for m in TENSOR_DEGREES:
-            for b in BATCH_SIZES:
-                case = (name, p, m, b)
-                assert fast.decode_iteration_time(p, m, b) == oracle.decode_iteration_time(
-                    p, m, b
-                ), case
-                for s_in, s_out in LENGTHS:
-                    assert fast.l_exe(p, m, b, s_in, s_out) == oracle.l_exe(
-                        p, m, b, s_in, s_out
-                    ), (case, s_in, s_out)
-                    assert fast.throughput(3, p, m, b, s_in, s_out) == oracle.throughput(
-                        3, p, m, b, s_in, s_out
-                    ), (case, s_in, s_out)
-                    assert fast.decode_iteration_time(
-                        p, m, b, context_length=s_in
-                    ) == oracle.decode_iteration_time(p, m, b, context_length=s_in), (
-                        case,
-                        s_in,
-                    )
+    grid = [
+        (p, m, b) for p in PIPELINE_DEGREES for m in TENSOR_DEGREES for b in BATCH_SIZES
+    ]
+    columns = [np.array(column) for column in zip(*grid)]
+    # The batched path: the whole grid in one call per sequence-length pair.
+    tables = {
+        lengths: fast.l_exe_table(*columns, *lengths).tolist() for lengths in LENGTHS
+    }
+    for row, (p, m, b) in enumerate(grid):
+        case = (name, p, m, b)
+        assert fast.decode_iteration_time(p, m, b) == oracle.decode_iteration_time(
+            p, m, b
+        ), case
+        for s_in, s_out in LENGTHS:
+            expected = oracle.l_exe(p, m, b, s_in, s_out)
+            assert fast.l_exe(p, m, b, s_in, s_out) == expected, (case, s_in, s_out)
+            assert tables[s_in, s_out][row] == expected, (case, s_in, s_out)
+            assert fast.throughput(3, p, m, b, s_in, s_out) == oracle.throughput(
+                3, p, m, b, s_in, s_out
+            ), (case, s_in, s_out)
+            assert fast.decode_iteration_time(
+                p, m, b, context_length=s_in
+            ) == oracle.decode_iteration_time(p, m, b, context_length=s_in), (
+                case,
+                s_in,
+            )
 
 
 def test_zero_output_tokens_and_invalid_parallelism_match_oracle():
@@ -87,9 +101,10 @@ def test_feasible_configs_match_fresh_enumeration_in_any_query_order(model):
     for n in sizes:
         assert space.feasible_configs(n) == ConfigurationSpace(model).feasible_configs(n)
         assert space.feasible_configs(n) == _scalar_enumeration(space, n)
+        assert space.feasible_configs(n) == ScalarConfigurationSpace(model).feasible_configs(n)
 
 
-def test_fit_memo_resets_when_buffer_or_memory_model_changes():
+def test_table_resets_when_buffer_or_memory_model_changes():
     space = ConfigurationSpace(GPT_20B)
     roomy = space.feasible_configs(3)
     assert roomy == _scalar_enumeration(space, 3)
@@ -108,3 +123,84 @@ def test_fit_memo_resets_when_buffer_or_memory_model_changes():
     space.migration_buffer_bytes = 0.0
     space.memory_model = MemoryModel(GPT_20B)
     assert space.feasible_configs(3) == roomy
+
+
+def test_batched_rows_do_not_depend_on_their_neighbours():
+    fast = LatencyModel(GPT_20B)
+    rows = [(p, m, b) for p in (1, 2, 3, 4, 11, 44) for m in (1, 2, 4, 8) for b in (1, 2, 8)]
+    full = fast.l_exe_table(*map(np.array, zip(*rows)), 512, 128)
+    shuffled = list(range(len(rows)))
+    random.Random(7).shuffle(shuffled)
+    subset = shuffled[: len(rows) // 3]
+    part = fast.l_exe_table(*map(np.array, zip(*(rows[i] for i in subset))), 512, 128)
+    assert part.tolist() == [full[i] for i in subset]
+    assert fast.l_exe_table([], [], [], 512, 128).tolist() == []
+    with pytest.raises(ValueError):
+        fast.l_exe_table([1, 2], [4], [1, 1])
+    with pytest.raises(ValueError):
+        fast.l_exe_table([1, 0], [4, 4], [1, 1])
+
+
+#: Space shapes the fleet views are pinned on: the default grid, layer-
+#: divisible pipelines, and an unsorted grid with a D cap and 8-GPU hosts.
+SPACE_VARIANTS = {
+    "default": {},
+    "divisible-layers": {"require_divisible_layers": True},
+    "odd-grid": {
+        "batch_sizes": (3, 16, 1),
+        "tensor_degrees": (16, 1, 2),
+        "max_data_degree": 5,
+        "gpus_per_instance": 8,
+    },
+}
+
+
+@pytest.mark.parametrize("variant", sorted(SPACE_VARIANTS))
+@pytest.mark.parametrize("model", [OPT_6_7B, GPT_20B, LLAMA_30B], ids=lambda m: m.name)
+def test_feasible_views_match_oracle_enumeration(model, variant):
+    kwargs = SPACE_VARIANTS[variant]
+    sizes = list(range(-1, 41))
+    random.Random(f"{model.name}/{variant}").shuffle(sizes)
+    space = ConfigurationSpace(model, **kwargs)
+    oracle = ScalarConfigurationSpace(model, **kwargs)
+    for n in sizes:
+        configs = space.feasible_configs(n)
+        assert configs == oracle.feasible_configs(n), n
+        assert configs == _scalar_enumeration(space, n), n
+
+
+@pytest.mark.parametrize("model", [OPT_6_7B, GPT_20B, LLAMA_30B], ids=lambda m: m.name)
+def test_fleet_view_columns_match_per_config_profiles(model):
+    memory = MemoryModel(model)
+    profiler = OfflineProfiler(LatencyModel(model), memory)
+    space = ConfigurationSpace(model, memory, require_divisible_layers=True)
+    oracle = ScalarConfigurationSpace(model, memory, require_divisible_layers=True)
+    controller = ParallelizationController(space, profiler)
+    rng = random.Random(model.name)
+
+    def check_views():
+        sizes = list(range(0, 17))
+        rng.shuffle(sizes)
+        for n in sizes:
+            view = controller.fleet_view(n)
+            configs = oracle.feasible_configs(n)
+            assert [view.config(i) for i in range(len(view))] == configs, n
+            for i, config in enumerate(configs):
+                entry = profiler.profile(
+                    config.data_degree,
+                    config.pipeline_degree,
+                    config.tensor_degree,
+                    config.batch_size,
+                )
+                assert view.exec_latency[i] == entry.latency, (n, config)
+                assert view.throughput[i] == entry.throughput, (n, config)
+                assert view.num_instances[i] == config.num_instances(4), (n, config)
+
+    check_views()
+    # Reassigning the buffer or the memory model re-derives table and views.
+    for target in (space, oracle):
+        target.migration_buffer_bytes = model.total_param_bytes / 16
+    check_views()
+    for target in (space, oracle):
+        target.memory_model = MemoryModel(model, reserve_bytes=0.0)
+    check_views()

@@ -60,13 +60,15 @@ class TestControllerMemo:
     def test_fleet_space_change_invalidates_sweep(self):
         controller = make_controller(model=GPT_20B)
         space = controller.config_space
-        full_sweep = controller._estimates(4, 0.35, allow_infinite=True)
+        full_view = controller.fleet_view(4)
         # Reserving a huge migration buffer shrinks the feasible space; the
-        # memoised sweep for the same (fleet, rate) key must follow.
+        # memoised view for the same fleet size must follow.
         space.migration_buffer_bytes = 8 * 1024 ** 3
-        shrunk_sweep = controller._estimates(4, 0.35, allow_infinite=True)
-        assert len(shrunk_sweep) < len(full_sweep)
-        assert {e.config for e in shrunk_sweep} == set(space.feasible_configs(4))
+        shrunk_view = controller.fleet_view(4)
+        assert len(shrunk_view) < len(full_view)
+        assert [shrunk_view.config(i) for i in range(len(shrunk_view))] == (
+            space.feasible_configs(4)
+        )
 
     def test_propose_identical_with_and_without_memo(self):
         cached = make_controller()
