@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import json
 import multiprocessing
 import platform
@@ -225,6 +226,10 @@ SCENARIOS: Dict[str, Callable[[], ExperimentResult]] = {
 
 def measure(name: str) -> Dict:
     """Run one scenario and distil the per-phase wall-clock breakdown."""
+    # Free the reference cycles an earlier scenario left behind now, so a
+    # full collection of them cannot land inside this scenario's timed
+    # phases (serial runs share one interpreter).
+    gc.collect()
     start = time.perf_counter()
     result = SCENARIOS[name]()
     wall_s = time.perf_counter() - start

@@ -19,14 +19,12 @@ surviving GPU holds any more must be fetched from cloud storage instead,
 which is dramatically slower and corresponds to the paper's fault-tolerance
 fallback of reloading weights from S3/disk.
 
-Fast path
----------
+One code path
+-------------
 
-``plan`` runs on every reconfiguring adaptation round, and after the map
-phase got its fast path the planner became the largest remaining control
-cost.  The default ``fast_path=True`` applies the same playbook as the
-device mapper, in four layers, each provably byte-identical to the scalar
-reference (``fast_path=False``):
+``plan`` runs on every reconfiguring adaptation round.  It is built in four
+layers, each byte-identical to the scalar per-device planner kept as the
+test oracle ``tests/oracles/scalar_planner.py``:
 
 1. **Geometry interning** — ``stage_layer_range`` / ``shard_interval`` /
    ``stage_layers`` are pure functions of small integer signatures and are
@@ -37,22 +35,23 @@ reference (``fast_path=False``):
    instance (when that instance holds the layer) or its zone (when it does
    not), so the ranked candidate list and the greedy piece decomposition
    are computed once per (layer, rank class, needed segment) and the
-   resulting ``Transfer`` lists instantiated per device.  The greedy code
-   itself is shared with the reference path (``_pieces_from_sources``), so
-   equivalence reduces to the candidate order being equal — which it is,
-   because the sort key ``(not same_instance, not same_zone, device_id)``
-   is a total order (device ids are unique).
+   resulting ``Transfer`` lists instantiated per device.  Model and cache
+   steps share this cover loop (:meth:`MigrationPlanner._cover`), and the
+   greedy cover itself is :meth:`MigrationPlanner._pieces_from_sources`.
+   Equivalence with a per-destination sort reduces to the candidate order
+   being equal — which it is, because the sort key ``(not same_instance,
+   not same_zone, device_id)`` is a total order (device ids are unique).
 3. **Cross-round plan memoisation** — the finished plan is a pure function
    of (context signatures, placement, config, cache requirements,
    evacuation mode, buffer budget, network spec and zones), so repeated
    (placement, placement) shapes across rounds return the cached
    :class:`MigrationPlan` object.  The serving system invalidates the memo
    when an instance's context is dropped from the meta-context.
-4. **Ordering fast path** — ``_buffer_deltas`` is computed once per step
+4. **Vectorized ordering** — ``_buffer_deltas`` is computed once per step
    and the deferred-layer greedy argmin is evaluated as a numpy sweep over
    an (instances x layers) delta matrix, with dead columns masked to +inf
-   so ``argmin``'s first-occurrence rule reproduces the reference's
-   strict-less first-min tie-break exactly.
+   so ``argmin``'s first-occurrence rule reproduces a strict-less
+   first-min scan's tie-break exactly.
 """
 
 from __future__ import annotations
@@ -60,15 +59,14 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from ..engine.context import DeviceId, MetaContextManager
+from ..engine.context import CacheContext, DeviceId, MetaContextManager, ModelContext
 from ..engine.placement import (
     TopologyPosition,
     shard_interval,
-    stage_layer_range,
     stage_layers,
 )
 from ..llm.memory import DEFAULT_MIGRATION_BUFFER_BYTES
@@ -83,6 +81,13 @@ from .device_mapper import DeviceMapping
 #: per instance a 120 B-parameter GPT (480 GB fp32 over 8 instances) takes
 #: about two minutes, matching the paper's observation.
 DEFAULT_STORAGE_BANDWIDTH = 1.0 * 1024 ** 3
+
+#: Holders of one kind of context: layer -> device-id-sorted bucket of
+#: (shard interval, device), plus layer -> instances holding any of it.
+_HolderTable = Tuple[
+    Dict[int, List[Tuple[Tuple[float, float], DeviceId]]],
+    Dict[int, Set[str]],
+]
 
 
 @lru_cache(maxsize=1024)
@@ -217,8 +222,19 @@ class MigrationPlanner:
         storage_bandwidth: float = DEFAULT_STORAGE_BANDWIDTH,
         engine_restart_time: float = 10.0,
         timers: Optional[PhaseTimers] = None,
-        fast_path: bool = True,
     ) -> None:
+        if not max_buffer_bytes >= 0:
+            raise ValueError(
+                f"max_buffer_bytes must be non-negative, got {max_buffer_bytes}"
+            )
+        if not storage_bandwidth > 0:
+            raise ValueError(
+                f"storage_bandwidth must be positive, got {storage_bandwidth}"
+            )
+        if not engine_restart_time >= 0:
+            raise ValueError(
+                f"engine_restart_time must be non-negative, got {engine_restart_time}"
+            )
         self.model = model
         self.network = network or NetworkModel()
         self.max_buffer_bytes = max_buffer_bytes
@@ -227,9 +243,6 @@ class MigrationPlanner:
         self.storage_bandwidth = storage_bandwidth
         self.engine_restart_time = engine_restart_time
         self.timers = timers if timers is not None else NULL_TIMERS
-        #: ``False`` runs the scalar reference implementation the
-        #: equivalence tests solve against.
-        self.fast_path = fast_path
         #: During a zone-outage evacuation the same-zone source preference is
         #: suspended: the richest context sources are the doomed zone itself,
         #: and every pull out of it is cross-zone by definition, so ranking
@@ -264,8 +277,6 @@ class MigrationPlanner:
         """
         with self.timers.phase("plan"):
             cache_requirements = cache_requirements or {}
-            if not self.fast_path:
-                return self._build_plan(meta_context, mapping, cache_requirements)
             # One walk of the meta-context feeds the memo key, the holder
             # tables and the per-destination own-context lookups.
             context_map: Dict[DeviceId, Tuple] = {}
@@ -283,9 +294,7 @@ class MigrationPlanner:
                 self.plan_memo_hits += 1
                 return cached
             self.plan_memo_misses += 1
-            built = self._build_plan_fast(
-                context_map, mapping, cache_requirements, zones
-            )
+            built = self._build_plan(context_map, mapping, cache_requirements, zones)
             self._plan_memo[key] = built
             while len(self._plan_memo) > self.PLAN_MEMO_SIZE:
                 self._plan_memo.popitem(last=False)
@@ -426,30 +435,26 @@ class MigrationPlanner:
         )
 
     # ------------------------------------------------------------------
-    # Plan assembly (shared by both paths)
+    # Plan assembly
     # ------------------------------------------------------------------
     def _build_plan(
-        self,
-        meta_context: MetaContextManager,
-        mapping: DeviceMapping,
-        cache_requirements: Dict[int, Tuple[int, int, int]],
-    ) -> MigrationPlan:
-        """Scalar reference build: per-device scans of the meta-context."""
-        layer_steps = self._plan_layer_steps(meta_context, mapping)
-        cache_step = self._plan_cache_step(meta_context, mapping, cache_requirements)
-        return self._assemble(layer_steps, cache_step, mapping)
-
-    def _build_plan_fast(
         self,
         context_map: Dict[DeviceId, Tuple],
         mapping: DeviceMapping,
         cache_requirements: Dict[int, Tuple[int, int, int]],
         zones: Dict[str, Optional[str]],
     ) -> MigrationPlan:
-        """Fast build: signature-grouped steps off the shared context walk."""
-        layer_steps = self._plan_layer_steps_fast(context_map, mapping, zones)
-        cache_step = self._plan_cache_step_fast(
-            context_map, mapping, cache_requirements, zones
+        """Signature-grouped steps off the shared context walk, then ordering."""
+        # Zones only rank sources when the network knows them and no
+        # evacuation is suspending the same-zone preference.
+        rank_zones = (
+            zones
+            if self.network.zone_of is not None and not self.evacuation_mode
+            else None
+        )
+        layer_steps = self._plan_layer_steps(context_map, mapping, rank_zones)
+        cache_step = self._plan_cache_step(
+            context_map, mapping, cache_requirements, rank_zones
         )
         return self._assemble(layer_steps, cache_step, mapping)
 
@@ -547,100 +552,7 @@ class MigrationPlanner:
         )
 
     # ------------------------------------------------------------------
-    # Step construction (scalar reference)
-    # ------------------------------------------------------------------
-    def _plan_layer_steps(
-        self, meta_context: MetaContextManager, mapping: DeviceMapping
-    ) -> Dict[int, MigrationStep]:
-        config = mapping.config
-        steps: Dict[int, MigrationStep] = {
-            layer: MigrationStep(kind="weight", layer_index=layer)
-            for layer in range(self.model.num_layers)
-        }
-        holders = self._model_holders(meta_context)
-        for device_id, position in mapping.placement.items():
-            new_layers = self._stage_layers(position.stage_index, config.pipeline_degree)
-            new_interval = shard_interval(config.tensor_degree, position.shard_index)
-            own = self._own_model_interval(meta_context, device_id)
-            for layer in new_layers:
-                missing = self._subtract_interval(
-                    new_interval, own.get(layer) if own else None
-                )
-                for interval in missing:
-                    pieces = self._source_pieces(layer, interval, holders, device_id)
-                    for source, fraction in pieces:
-                        size = fraction * self.model.layer_param_bytes
-                        if size <= 0:
-                            continue
-                        if source is None:
-                            steps[layer].storage_bytes += size
-                        else:
-                            steps[layer].transfers.append(
-                                Transfer(
-                                    src=source,
-                                    dst=device_id,
-                                    size_bytes=size,
-                                    tag=f"model:layer{layer}",
-                                )
-                            )
-        return steps
-
-    def _plan_cache_step(
-        self,
-        meta_context: MetaContextManager,
-        mapping: DeviceMapping,
-        cache_requirements: Dict[int, Tuple[int, int, int]],
-    ) -> MigrationStep:
-        config = mapping.config
-        step = MigrationStep(kind="cache", layer_index=None)
-        if not cache_requirements:
-            return step
-        cache_holders = self._cache_holders(meta_context)
-        for new_data_index, (old_data_index, batch_size, cached_tokens) in cache_requirements.items():
-            if cached_tokens <= 0:
-                continue
-            per_layer_bytes = (
-                2.0
-                * self.model.hidden_size
-                * self.model.bytes_per_cache_element
-                * batch_size
-                * cached_tokens
-            )
-            for device_id, position in mapping.placement.items():
-                if position.data_index != new_data_index:
-                    continue
-                new_layers = self._stage_layers(position.stage_index, config.pipeline_degree)
-                new_interval = shard_interval(config.tensor_degree, position.shard_index)
-                own = self._own_cache_interval(meta_context, device_id, old_data_index)
-                for layer in new_layers:
-                    missing = self._subtract_interval(
-                        new_interval, own.get(layer) if own else None
-                    )
-                    for interval in missing:
-                        pieces = self._source_pieces(
-                            layer, interval, cache_holders.get(old_data_index, {}), device_id
-                        )
-                        for source, fraction in pieces:
-                            size = fraction * per_layer_bytes
-                            if size <= 0:
-                                continue
-                            if source is None:
-                                # Lost cache cannot be reloaded from storage;
-                                # it will simply be recomputed (not billed to
-                                # the migration plan).
-                                continue
-                            step.transfers.append(
-                                Transfer(
-                                    src=source,
-                                    dst=device_id,
-                                    size_bytes=size,
-                                    tag=f"cache:pipeline{new_data_index}",
-                                )
-                            )
-        return step
-
-    # ------------------------------------------------------------------
-    # Step construction (fast path)
+    # Step construction
     # ------------------------------------------------------------------
     def _rank_class(
         self,
@@ -663,137 +575,58 @@ class MigrationPlanner:
             return (layer_key, 0, instance)
         return (layer_key, 1, dest_zone)
 
-    def _plan_layer_steps_fast(
+    def _plan_layer_steps(
         self,
         context_map: Dict[DeviceId, Tuple],
         mapping: DeviceMapping,
-        zones: Dict[str, Optional[str]],
+        rank_zones: Optional[Dict[str, Optional[str]]],
     ) -> Dict[int, MigrationStep]:
-        config = mapping.config
-        num_layers = self.model.num_layers
+        """One weight step per layer: what every destination must pull."""
         layer_param_bytes = self.model.layer_param_bytes
         steps: Dict[int, MigrationStep] = {
             layer: MigrationStep(kind="weight", layer_index=layer)
-            for layer in range(num_layers)
+            for layer in range(self.model.num_layers)
         }
-        holders, holder_instances = self._model_holder_tables(context_map)
-        rank_zones = (
-            zones
-            if self.network.zone_of is not None and not self.evacuation_mode
-            else None
-        )
-        new_pd = config.pipeline_degree
-        new_td = config.tensor_degree
-        empty_bucket: List[Tuple[Tuple[float, float], DeviceId]] = []
-
-        ranked_cache: Dict[Tuple, List[Tuple[Tuple[float, float], DeviceId]]] = {}
-        pieces_cache: Dict[Tuple, List[Tuple[Optional[DeviceId], float]]] = {}
-        missing_cache: Dict[Tuple, List[Tuple[float, float]]] = {}
-
+        table = self._model_holder_tables(context_map)
+        memo: Tuple[Dict, Dict, Dict] = ({}, {}, {})
         for device_id, position in mapping.placement.items():
             entry = context_map.get(device_id)
-            ctx = entry[0] if entry is not None else None
-            new_stage = position.stage_index
-            new_shard = position.shard_index
-            if ctx is not None:
-                cpos = ctx.position
-                if (
-                    ctx.pipeline_degree == new_pd
-                    and ctx.tensor_degree == new_td
-                    and cpos.stage_index == new_stage
-                    and cpos.shard_index == new_shard
-                ):
-                    # Unchanged signature: the device already owns exactly
-                    # its new slice, so every missing set is empty.
-                    continue
-                own_lo, own_hi, own_interval = _context_span(
-                    num_layers,
-                    ctx.pipeline_degree,
-                    ctx.tensor_degree,
-                    cpos.stage_index,
-                    cpos.shard_index,
-                )
-            new_layers = stage_layers(num_layers, new_pd, new_stage)
-            new_interval = shard_interval(new_td, new_shard)
-            instance = device_id[0]
-            dest_zone = rank_zones[instance] if rank_zones is not None else None
-            for layer in new_layers:
-                owned = (
-                    own_interval
-                    if ctx is not None and own_lo <= layer < own_hi
-                    else None
-                )
-                mkey = (new_interval, owned)
-                missing = missing_cache.get(mkey)
-                if missing is None:
-                    missing = self._subtract_interval(new_interval, owned)
-                    missing_cache[mkey] = missing
-                if not missing:
-                    continue
-                rank_class = self._rank_class(
-                    layer, instance, dest_zone, holder_instances.get(layer)
-                )
+            own = entry[0] if entry is not None else None
+            for layer, pieces in self._cover(
+                device_id, position, own, mapping.config, table, None, rank_zones, memo
+            ):
                 step = steps[layer]
-                for segment in missing:
-                    pkey = (rank_class, segment)
-                    pieces = pieces_cache.get(pkey)
-                    if pieces is None:
-                        ranked = ranked_cache.get(rank_class)
-                        if ranked is None:
-                            ranked = self._partition_ranked(
-                                holders.get(layer, empty_bucket),
-                                instance,
-                                dest_zone,
-                                rank_zones,
+                for source, fraction in pieces:
+                    size = fraction * layer_param_bytes
+                    if size <= 0:
+                        continue
+                    if source is None:
+                        step.storage_bytes += size
+                    else:
+                        step.transfers.append(
+                            Transfer(
+                                src=source,
+                                dst=device_id,
+                                size_bytes=size,
+                                tag=f"model:layer{layer}",
                             )
-                            ranked_cache[rank_class] = ranked
-                        pieces = self._pieces_from_sources(ranked, segment)
-                        pieces_cache[pkey] = pieces
-                    for source, fraction in pieces:
-                        size = fraction * layer_param_bytes
-                        if size <= 0:
-                            continue
-                        if source is None:
-                            step.storage_bytes += size
-                        else:
-                            step.transfers.append(
-                                Transfer(
-                                    src=source,
-                                    dst=device_id,
-                                    size_bytes=size,
-                                    tag=f"model:layer{layer}",
-                                )
-                            )
+                        )
         return steps
 
-    def _plan_cache_step_fast(
+    def _plan_cache_step(
         self,
         context_map: Dict[DeviceId, Tuple],
         mapping: DeviceMapping,
         cache_requirements: Dict[int, Tuple[int, int, int]],
-        zones: Dict[str, Optional[str]],
+        rank_zones: Optional[Dict[str, Optional[str]]],
     ) -> MigrationStep:
-        config = mapping.config
+        """The leading cache step: each resumed batch's KV cache, per layer."""
         step = MigrationStep(kind="cache", layer_index=None)
         if not cache_requirements:
             return step
-        num_layers = self.model.num_layers
         tables = self._cache_holder_tables(context_map)
-        rank_zones = (
-            zones
-            if self.network.zone_of is not None and not self.evacuation_mode
-            else None
-        )
-        new_pd = config.pipeline_degree
-        new_td = config.tensor_degree
-        no_holders: Dict[int, List[Tuple[Tuple[float, float], DeviceId]]] = {}
-        no_instances: Dict[int, Set[str]] = {}
-        empty_bucket: List[Tuple[Tuple[float, float], DeviceId]] = []
-
-        ranked_cache: Dict[Tuple, List[Tuple[Tuple[float, float], DeviceId]]] = {}
-        pieces_cache: Dict[Tuple, List[Tuple[Optional[DeviceId], float]]] = {}
-        missing_cache: Dict[Tuple, List[Tuple[float, float]]] = {}
-
+        no_table: _HolderTable = ({}, {})
+        memo: Tuple[Dict, Dict, Dict] = ({}, {}, {})
         for new_data_index, (old_data_index, batch_size, cached_tokens) in cache_requirements.items():
             if cached_tokens <= 0:
                 continue
@@ -804,88 +637,112 @@ class MigrationPlanner:
                 * batch_size
                 * cached_tokens
             )
-            holders, holder_instances = tables.get(
-                old_data_index, (no_holders, no_instances)
-            )
+            table = tables.get(old_data_index, no_table)
+            tag = f"cache:pipeline{new_data_index}"
             for device_id, position in mapping.placement.items():
                 if position.data_index != new_data_index:
                     continue
                 entry = context_map.get(device_id)
-                ctx = entry[1] if entry is not None else None
-                has_own = ctx is not None and ctx.position.data_index == old_data_index
-                new_stage = position.stage_index
-                new_shard = position.shard_index
-                if has_own:
-                    cpos = ctx.position
-                    if (
-                        ctx.pipeline_degree == new_pd
-                        and ctx.tensor_degree == new_td
-                        and cpos.stage_index == new_stage
-                        and cpos.shard_index == new_shard
-                    ):
-                        # Unchanged signature for this pipeline's cache:
-                        # every missing set is empty.
-                        continue
-                    own_lo, own_hi, own_interval = _context_span(
-                        num_layers,
-                        ctx.pipeline_degree,
-                        ctx.tensor_degree,
-                        cpos.stage_index,
-                        cpos.shard_index,
-                    )
-                new_layers = stage_layers(num_layers, new_pd, new_stage)
-                new_interval = shard_interval(new_td, new_shard)
-                instance = device_id[0]
-                dest_zone = rank_zones[instance] if rank_zones is not None else None
-                for layer in new_layers:
-                    owned = (
-                        own_interval if has_own and own_lo <= layer < own_hi else None
-                    )
-                    mkey = (new_interval, owned)
-                    missing = missing_cache.get(mkey)
-                    if missing is None:
-                        missing = self._subtract_interval(new_interval, owned)
-                        missing_cache[mkey] = missing
-                    if not missing:
-                        continue
-                    rank_class = self._rank_class(
-                        (old_data_index, layer),
-                        instance,
-                        dest_zone,
-                        holder_instances.get(layer),
-                    )
-                    for segment in missing:
-                        pkey = (rank_class, segment)
-                        pieces = pieces_cache.get(pkey)
-                        if pieces is None:
-                            ranked = ranked_cache.get(rank_class)
-                            if ranked is None:
-                                ranked = self._partition_ranked(
-                                    holders.get(layer, empty_bucket),
-                                    instance,
-                                    dest_zone,
-                                    rank_zones,
-                                )
-                                ranked_cache[rank_class] = ranked
-                            pieces = self._pieces_from_sources(ranked, segment)
-                            pieces_cache[pkey] = pieces
-                        for source, fraction in pieces:
-                            size = fraction * per_layer_bytes
-                            if size <= 0:
-                                continue
-                            if source is None:
-                                # Lost cache is recomputed, not reloaded
-                                # (mirrors the reference path).
-                                continue
-                            step.transfers.append(
-                                Transfer(
-                                    src=source,
-                                    dst=device_id,
-                                    size_bytes=size,
-                                    tag=f"cache:pipeline{new_data_index}",
-                                )
-                            )
+                own = entry[1] if entry is not None else None
+                if own is not None and own.position.data_index != old_data_index:
+                    own = None  # another pipeline's cache is not this one
+                for _, pieces in self._cover(
+                    device_id,
+                    position,
+                    own,
+                    mapping.config,
+                    table,
+                    old_data_index,
+                    rank_zones,
+                    memo,
+                ):
+                    for source, fraction in pieces:
+                        size = fraction * per_layer_bytes
+                        # Lost cache cannot be reloaded from storage; it is
+                        # recomputed instead (not billed to the plan).
+                        if size <= 0 or source is None:
+                            continue
+                        step.transfers.append(
+                            Transfer(src=source, dst=device_id, size_bytes=size, tag=tag)
+                        )
         return step
+
+    def _cover(
+        self,
+        device_id: DeviceId,
+        position: TopologyPosition,
+        own: Optional[Union[ModelContext, CacheContext]],
+        config: ParallelConfig,
+        table: _HolderTable,
+        scope: Optional[int],
+        rank_zones: Optional[Dict[str, Optional[str]]],
+        memo: Tuple[Dict, Dict, Dict],
+    ) -> List[Tuple[int, List[Tuple[Optional[DeviceId], float]]]]:
+        """``(layer, pieces)`` covering what *device_id* lacks at *position*.
+
+        *own* is the context the destination already holds (or ``None``),
+        *table* the holder buckets and per-layer instance sets of that kind
+        of context, and *scope* separates the rank classes of different
+        holder tables that share one *memo* of missing sets, ranked
+        candidates and piece lists.  Pieces come out per layer of the new
+        stage, then per missing segment, in the order the transfers are
+        emitted.
+        """
+        num_layers = self.model.num_layers
+        new_pd = config.pipeline_degree
+        new_td = config.tensor_degree
+        new_stage = position.stage_index
+        new_shard = position.shard_index
+        if own is not None:
+            cpos = own.position
+            if (
+                own.pipeline_degree == new_pd
+                and own.tensor_degree == new_td
+                and cpos.stage_index == new_stage
+                and cpos.shard_index == new_shard
+            ):
+                # Unchanged signature: the device already owns exactly its
+                # new slice, so every missing set is empty.
+                return []
+            own_lo, own_hi, own_interval = _context_span(
+                num_layers,
+                own.pipeline_degree,
+                own.tensor_degree,
+                cpos.stage_index,
+                cpos.shard_index,
+            )
+        holders, holder_instances = table
+        missing_memo, ranked_memo, pieces_memo = memo
+        new_interval = shard_interval(new_td, new_shard)
+        instance = device_id[0]
+        dest_zone = rank_zones[instance] if rank_zones is not None else None
+        covered: List[Tuple[int, List[Tuple[Optional[DeviceId], float]]]] = []
+        for layer in stage_layers(num_layers, new_pd, new_stage):
+            owned = own_interval if own is not None and own_lo <= layer < own_hi else None
+            mkey = (new_interval, owned)
+            missing = missing_memo.get(mkey)
+            if missing is None:
+                missing = self._subtract_interval(new_interval, owned)
+                missing_memo[mkey] = missing
+            if not missing:
+                continue
+            rank_class = self._rank_class(
+                (scope, layer), instance, dest_zone, holder_instances.get(layer)
+            )
+            for segment in missing:
+                pkey = (rank_class, segment)
+                pieces = pieces_memo.get(pkey)
+                if pieces is None:
+                    ranked = ranked_memo.get(rank_class)
+                    if ranked is None:
+                        ranked = self._partition_ranked(
+                            holders.get(layer, ()), instance, dest_zone, rank_zones
+                        )
+                        ranked_memo[rank_class] = ranked
+                    pieces = self._pieces_from_sources(ranked, segment)
+                    pieces_memo[pkey] = pieces
+                covered.append((layer, pieces))
+        return covered
 
     # ------------------------------------------------------------------
     # Layer ordering (Algorithm 2)
@@ -909,11 +766,7 @@ class MigrationPlanner:
                 order.append(layer)
             else:
                 deferred.append(layer)
-        if not deferred:
-            return order
-        if self.fast_path:
-            order.extend(self._drain_deferred_fast(usage, deferred, deltas_by_layer))
-        else:
+        if deferred:
             order.extend(self._drain_deferred(usage, deferred, deltas_by_layer))
         return order
 
@@ -923,36 +776,18 @@ class MigrationPlanner:
         deferred: List[int],
         deltas_by_layer: Dict[int, Dict[str, float]],
     ) -> List[int]:
-        """Scalar reference drain: repeated first-strict-min greedy picks."""
-        order: List[int] = []
-        while deferred:
-            best_pos = 0
-            best_peak = float("inf")
-            for pos, layer in enumerate(deferred):
-                peak = self._peak_after(usage, deltas_by_layer[layer])
-                if peak < best_peak:
-                    best_peak = peak
-                    best_pos = pos
-            best_layer = deferred.pop(best_pos)
-            self._apply_deltas(usage, deltas_by_layer[best_layer])
-            order.append(best_layer)
-        return order
+        """Greedy drain of the deferred layers, lowest resulting peak first.
 
-    def _drain_deferred_fast(
-        self,
-        usage: Dict[str, float],
-        deferred: List[int],
-        deltas_by_layer: Dict[int, Dict[str, float]],
-    ) -> List[int]:
-        """Numpy drain, bit-identical to :meth:`_drain_deferred`.
-
-        ``max(u_i + delta, 0.0)`` with ``delta = 0`` reproduces instances
-        untouched by a layer (usage values are already clamped >= 0, so the
-        clamp is a no-op for them), and all-zero extra rows cannot change a
-        column max over non-negative values.  Dead columns are masked to
-        +inf so ``argmin``'s first-occurrence rule equals the reference's
-        strict-less scan over the shrinking deferred list (``list.remove``
-        preserves the relative order of survivors).
+        Each pick is the first deferred layer (in deferral order) whose
+        deltas leave the smallest peak per-instance buffer usage, evaluated
+        for all candidates at once as a numpy sweep.  ``max(u_i + delta,
+        0.0)`` with ``delta = 0`` reproduces instances untouched by a layer
+        (usage values are already clamped >= 0, so the clamp is a no-op for
+        them), and all-zero extra rows cannot change a column max over
+        non-negative values.  Dead columns are masked to +inf so
+        ``argmin``'s first-occurrence rule equals a strict-less scan over
+        the shrinking deferred list (``list.pop`` preserves the relative
+        order of survivors).
         """
         instances = sorted(
             set(usage).union(
@@ -962,7 +797,7 @@ class MigrationPlanner:
         order: List[int] = []
         if not instances:
             # No transfers touch any instance: every peak is 0.0 and the
-            # reference picks the first deferred layer each round.
+            # first deferred layer wins each round.
             return list(deferred)
         index_of = {instance: i for i, instance in enumerate(instances)}
         delta_matrix = np.zeros((len(instances), len(deferred)))
@@ -978,9 +813,9 @@ class MigrationPlanner:
             if not alive[column]:
                 # Every live peak itself overflowed to +inf (astronomical
                 # transfer sizes), making live columns indistinguishable
-                # from the dead-column mask.  The reference's strict-less
-                # scan never updates in that case and keeps position 0 --
-                # the first *live* candidate.
+                # from the dead-column mask.  A strict-less scan never
+                # updates in that case and keeps position 0 -- the first
+                # *live* candidate.
                 column = int(np.flatnonzero(alive)[0])
             alive[column] = False
             usage_vector = np.maximum(
@@ -1009,13 +844,6 @@ class MigrationPlanner:
     def _apply_deltas(usage: Dict[str, float], deltas: Dict[str, float]) -> None:
         for instance, delta in deltas.items():
             usage[instance] = max(usage.get(instance, 0.0) + delta, 0.0)
-
-    @staticmethod
-    def _peak_after(usage: Dict[str, float], deltas: Dict[str, float]) -> float:
-        combined = dict(usage)
-        for instance, delta in deltas.items():
-            combined[instance] = max(combined.get(instance, 0.0) + delta, 0.0)
-        return max(combined.values(), default=0.0)
 
     # ------------------------------------------------------------------
     # Plan finalisation
@@ -1087,9 +915,6 @@ class MigrationPlanner:
     # ------------------------------------------------------------------
     # Geometry helpers
     # ------------------------------------------------------------------
-    def _stage_layers(self, stage_index: int, pipeline_degree: int) -> List[int]:
-        return list(stage_layers(self.model.num_layers, pipeline_degree, stage_index))
-
     def _stage_of_layer(self, layer_index: int, config: ParallelConfig) -> int:
         layers_per_stage = self.model.num_layers / config.pipeline_degree
         return min(int(layer_index / layers_per_stage), config.pipeline_degree - 1)
@@ -1099,70 +924,11 @@ class MigrationPlanner:
         # Fresh dict per call: plan assembly decrements the counts in place.
         return {stage: counts[stage] for stage in range(config.pipeline_degree)}
 
-    def _own_model_interval(
-        self, meta_context: MetaContextManager, device_id: DeviceId
-    ) -> Dict[int, Tuple[float, float]]:
-        """Layer -> shard interval the device already holds (model context)."""
-        daemon = meta_context.daemon(device_id)
-        ctx = daemon.model_context
-        if ctx is None:
-            return {}
-        layers = self._stage_layers(ctx.position.stage_index, ctx.pipeline_degree)
-        interval = shard_interval(ctx.tensor_degree, ctx.position.shard_index)
-        return {layer: interval for layer in layers}
-
-    def _own_cache_interval(
-        self, meta_context: MetaContextManager, device_id: DeviceId, old_data_index: int
-    ) -> Dict[int, Tuple[float, float]]:
-        daemon = meta_context.daemon(device_id)
-        ctx = daemon.cache_context
-        if ctx is None or ctx.position.data_index != old_data_index:
-            return {}
-        layers = self._stage_layers(ctx.position.stage_index, ctx.pipeline_degree)
-        interval = shard_interval(ctx.tensor_degree, ctx.position.shard_index)
-        return {layer: interval for layer in layers}
-
-    def _model_holders(
-        self, meta_context: MetaContextManager
-    ) -> Dict[int, List[Tuple[Tuple[float, float], DeviceId]]]:
-        """Layer -> list of (shard interval, device) currently holding it."""
-        holders: Dict[int, List[Tuple[Tuple[float, float], DeviceId]]] = {}
-        for device_id in meta_context.devices():
-            daemon = meta_context.daemon(device_id)
-            ctx = daemon.model_context
-            if ctx is None:
-                continue
-            layers = self._stage_layers(ctx.position.stage_index, ctx.pipeline_degree)
-            interval = shard_interval(ctx.tensor_degree, ctx.position.shard_index)
-            for layer in layers:
-                holders.setdefault(layer, []).append((interval, device_id))
-        return holders
-
-    def _cache_holders(
-        self, meta_context: MetaContextManager
-    ) -> Dict[int, Dict[int, List[Tuple[Tuple[float, float], DeviceId]]]]:
-        """Old data index -> layer -> holders of that pipeline's cache."""
-        holders: Dict[int, Dict[int, List[Tuple[Tuple[float, float], DeviceId]]]] = {}
-        for device_id in meta_context.devices():
-            daemon = meta_context.daemon(device_id)
-            ctx = daemon.cache_context
-            if ctx is None:
-                continue
-            layers = self._stage_layers(ctx.position.stage_index, ctx.pipeline_degree)
-            interval = shard_interval(ctx.tensor_degree, ctx.position.shard_index)
-            per_pipeline = holders.setdefault(ctx.position.data_index, {})
-            for layer in layers:
-                per_pipeline.setdefault(layer, []).append((interval, device_id))
-        return holders
-
     @staticmethod
     def _interned_buckets(
         group_entries: List[Tuple[Tuple[float, float], List[DeviceId]]],
         coverage: Dict[int, List[int]],
-    ) -> Tuple[
-        Dict[int, List[Tuple[Tuple[float, float], DeviceId]]],
-        Dict[int, Set[str]],
-    ]:
+    ) -> _HolderTable:
         """Materialise per-layer holder buckets, interned by coverage set.
 
         Stage spans are contiguous, so runs of adjacent layers are covered
@@ -1193,21 +959,16 @@ class MigrationPlanner:
             holder_instances[layer] = cached[1]
         return holders, holder_instances
 
-    def _model_holder_tables(
-        self, context_map: Dict[DeviceId, Tuple]
-    ) -> Tuple[
-        Dict[int, List[Tuple[Tuple[float, float], DeviceId]]],
-        Dict[int, Set[str]],
-    ]:
-        """Signature-grouped :meth:`_model_holders`, plus per-layer instances.
+    def _model_holder_tables(self, context_map: Dict[DeviceId, Tuple]) -> _HolderTable:
+        """Layer -> (shard interval, device) model holders, plus instances.
 
         Devices are grouped by their (degrees, stage, shard) context
         signature so the layer list and shard interval are resolved once per
         group, then per-layer buckets are interned and device-id-sorted by
-        :meth:`_interned_buckets`.  Holder-list order differs from the
-        per-device scan of the reference, which cannot matter: the candidate
-        ranking is a total order over device ids.  The per-layer instance
-        sets feed :meth:`_rank_class`.
+        :meth:`_interned_buckets`.  Holder-list order is device-id order, not
+        meta-context order, which cannot matter: the candidate ranking is a
+        total order over device ids.  The per-layer instance sets feed
+        :meth:`_rank_class`.
         """
         groups: Dict[Tuple[int, int, int, int], List[DeviceId]] = {}
         for device_id, (mctx, _) in context_map.items():
@@ -1232,14 +993,8 @@ class MigrationPlanner:
 
     def _cache_holder_tables(
         self, context_map: Dict[DeviceId, Tuple]
-    ) -> Dict[
-        int,
-        Tuple[
-            Dict[int, List[Tuple[Tuple[float, float], DeviceId]]],
-            Dict[int, Set[str]],
-        ],
-    ]:
-        """Signature-grouped :meth:`_cache_holders` keyed by old data index."""
+    ) -> Dict[int, _HolderTable]:
+        """Old data index -> the same holder tables for that pipeline's cache."""
         groups: Dict[Tuple[int, int, int, int, int], List[DeviceId]] = {}
         for device_id, (_, cctx) in context_map.items():
             if cctx is None:
@@ -1280,8 +1035,14 @@ class MigrationPlanner:
     ) -> List[Tuple[Tuple[float, float], DeviceId]]:
         """Rank a device-id-sorted bucket without sorting.
 
-        The reference order is ``sorted`` by ``(not same_instance,
-        not same_zone, device_id)``.  A stable three-way partition of a
+        Sources on the destination's instance come first, then sources in
+        its availability zone, then everything else -- cross-zone pulls ride
+        the slowest link tier, so they are the last resort.  In
+        ``evacuation_mode`` the zone tier is dropped: an evacuation *must*
+        pull context out of the dying zone before it disappears.
+
+        That order is ``sorted`` by ``(not same_instance, not same_zone,
+        device_id)``.  A stable three-way partition of a
         bucket already sorted by device id produces exactly that order:
         relative device-id order is preserved within each class, and
         device id is the sort key's only tie-break.  ``zones is None``
@@ -1308,54 +1069,16 @@ class MigrationPlanner:
                     others.append(item)
         return same_instance + same_zone + others
 
-    def _source_pieces(
-        self,
-        layer: int,
-        needed: Tuple[float, float],
-        holders: Dict[int, List[Tuple[Tuple[float, float], DeviceId]]],
-        destination: DeviceId,
-    ) -> List[Tuple[Optional[DeviceId], float]]:
-        """Split a needed shard interval into (source, fraction) pieces.
-
-        Sources on the same instance as *destination* are preferred, then
-        sources in the same availability zone (when the network model knows
-        zones), then everything else -- cross-zone pulls ride the slowest
-        link tier, so they are the last resort.  In ``evacuation_mode`` the
-        zone tier is dropped (cross-zone sources rank equal to local ones):
-        an evacuation *must* pull context out of the dying zone before it
-        disappears.  Portions nobody holds are attributed to storage
-        (``source=None``).
-        """
-        zone_of = self.network.zone_of if not self.evacuation_mode else None
-        candidates = self._ranked_sources(holders.get(layer, []), destination, zone_of)
-        return self._pieces_from_sources(candidates, needed)
-
-    @staticmethod
-    def _ranked_sources(
-        candidates: Sequence[Tuple[Tuple[float, float], DeviceId]],
-        destination: DeviceId,
-        zone_of,
-    ) -> List[Tuple[Tuple[float, float], DeviceId]]:
-        """Sort holder candidates by the source-preference total order."""
-
-        def source_rank(item: Tuple[Tuple[float, float], DeviceId]) -> Tuple:
-            """Prefer same-instance, then same-zone sources (unless evacuating)."""
-            _, device_id = item
-            same_instance = device_id[0] == destination[0]
-            if zone_of is None:
-                same_zone = True
-            else:
-                same_zone = zone_of(device_id[0]) == zone_of(destination[0])
-            return (not same_instance, not same_zone, device_id)
-
-        return sorted(candidates, key=source_rank)
-
     @staticmethod
     def _pieces_from_sources(
         candidates: Sequence[Tuple[Tuple[float, float], DeviceId]],
         needed: Tuple[float, float],
     ) -> List[Tuple[Optional[DeviceId], float]]:
-        """Greedy interval cover of *needed* by ranked candidates."""
+        """Greedy interval cover of *needed* by ranked candidates.
+
+        Portions no candidate holds are attributed to storage
+        (``source=None``).
+        """
         pieces: List[Tuple[Optional[DeviceId], float]] = []
         remaining = [needed]
         for interval, device_id in candidates:

@@ -163,3 +163,11 @@ class TestBatchSelection:
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
             DeviceMapper.select_batches_to_keep([], capacity=-1)
+
+
+class TestMapperArguments:
+    @pytest.mark.parametrize("gpus_per_instance", [0, -4])
+    def test_non_positive_gpus_per_instance_is_rejected(self, gpus_per_instance):
+        """A zero would otherwise silently disable hierarchical matching."""
+        with pytest.raises(ValueError, match="gpus_per_instance"):
+            DeviceMapper(GPT_20B, gpus_per_instance=gpus_per_instance)

@@ -163,3 +163,24 @@ class TestRestartPlan:
         planner = MigrationPlanner(gpt_120b)
         plan = planner.estimate_restart_plan(ParallelConfig(1, 8, 4, 1))
         assert plan.stall_time > 60.0
+
+
+class TestPlannerArguments:
+    """Malformed planner parameters fail at construction, not mid-plan."""
+
+    @pytest.mark.parametrize("budget", [-1.0, float("nan")])
+    def test_negative_buffer_budget_is_rejected(self, budget):
+        with pytest.raises(ValueError, match="max_buffer_bytes"):
+            MigrationPlanner(GPT_20B, max_buffer_bytes=budget)
+
+    def test_zero_buffer_budget_is_accepted(self):
+        assert MigrationPlanner(GPT_20B, max_buffer_bytes=0.0).max_buffer_bytes == 0.0
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0])
+    def test_non_positive_storage_bandwidth_is_rejected(self, bandwidth):
+        with pytest.raises(ValueError, match="storage_bandwidth"):
+            MigrationPlanner(GPT_20B, storage_bandwidth=bandwidth)
+
+    def test_negative_engine_restart_time_is_rejected(self):
+        with pytest.raises(ValueError, match="engine_restart_time"):
+            MigrationPlanner(GPT_20B, engine_restart_time=-0.5)

@@ -11,20 +11,21 @@ The map-phase fast path rests on four claims, each pinned here:
 * per-zone / per-component decomposition only fires when its dominance
   condition holds (no positive edge crosses a component boundary) and then
   matches the global solve's total matched weight exactly;
-* the fast path end to end -- sparsified flat solve, decomposed components,
-  memoised hierarchical inner solves, warm states carried across rounds --
-  produces the same placements and the same reused-byte totals as the
-  scalar reference implementation (``fast_path=False``) under randomized
-  fleet churn.
+* the production mapper end to end -- sparsified flat solve, decomposed
+  components, memoised hierarchical inner solves, warm states carried across
+  rounds -- produces the same placements and the same reused-byte totals as
+  the scalar oracle (``tests/oracles/scalar_mapper.py``) under randomized
+  fleet churn, for the default matcher and both ablation matchers (greedy,
+  flat-only).
 """
 
 import importlib.util
 import json
-import random
 from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles.scalar_mapper import ScalarDeviceMapper
 
 from repro.core.config import ParallelConfig
 from repro.core.device_mapper import DeviceMapper
@@ -299,7 +300,15 @@ class TestWeightMatrixBitIdentity:
 
 
 class TestFastPathEquivalence:
-    """Randomized fleet deltas over rounds: warm fast path == cold reference."""
+    """Randomized fleet deltas over rounds: warm production == scalar oracle."""
+
+    #: Matcher configurations under test: the default hierarchical
+    #: Kuhn-Munkres matcher and the two ablation matchers of Figure 9.
+    MATCHERS = {
+        "default": {},
+        "greedy": {"use_optimal_matching": False},
+        "flat": {"hierarchical": False},
+    }
 
     @staticmethod
     def random_round(rng, meta, devices, old):
@@ -331,15 +340,26 @@ class TestFastPathEquivalence:
     def zone_of(instance_id):
         return f"z{int(instance_id.split('-')[1]) % 3}"
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_warm_fast_path_matches_cold_each_round(self, seed):
+    # The default matcher keeps the bare seed as its test id.
+    @pytest.mark.parametrize(
+        "seed, matcher",
+        [
+            pytest.param(
+                seed, matcher, id=str(seed) if matcher == "default" else f"{seed}-{matcher}"
+            )
+            for matcher in MATCHERS
+            for seed in range(8)
+        ],
+    )
+    def test_warm_fast_path_matches_cold_each_round(self, seed, matcher):
         rng = np.random.default_rng(seed)
         model = GPT_20B if seed % 2 else OPT_6_7B
         meta, devices, old = random_fleet_state(rng, model)
         zone_of = self.zone_of if seed % 3 == 0 else None
+        options = dict(self.MATCHERS[matcher], zone_of=zone_of)
 
-        warm = DeviceMapper(model, zone_of=zone_of)  # fast path, warm states persist
-        reference = DeviceMapper(model, zone_of=zone_of, fast_path=False)
+        warm = DeviceMapper(model, **options)  # warm states persist
+        reference = ScalarDeviceMapper(model, **options)
         for round_index in range(6):
             devices, new = self.random_round(rng, meta, devices, old)
             inheritance = None
@@ -348,8 +368,8 @@ class TestFastPathEquivalence:
                     d: int(rng.integers(0, new.data_degree))
                     for d in range(old.data_degree)
                 }
-            # A *fresh* fast mapper is a cold solve: no warm state to seed.
-            cold = DeviceMapper(model, zone_of=zone_of)
+            # A *fresh* mapper is a cold solve: no warm state to seed.
+            cold = DeviceMapper(model, **options)
             warm_mapping = warm.map_devices(meta, devices, new, inheritance)
             cold_mapping = cold.map_devices(meta, devices, new, inheritance)
             ref_mapping = reference.map_devices(meta, devices, new, inheritance)
@@ -357,26 +377,36 @@ class TestFastPathEquivalence:
             assert warm_mapping.placement == cold_mapping.placement
             assert list(warm_mapping.placement) == list(cold_mapping.placement)
             assert warm_mapping.reused_bytes == cold_mapping.reused_bytes
-            # The hierarchical matching -- the branch that decides the golden
-            # digests -- must be bit-identical between the fast and the
-            # scalar reference implementation (the flat branch may tie-break
-            # differently after sparsification; its total is checked below).
-            positions = mesh_positions(
-                new.data_degree, new.pipeline_degree, new.tensor_degree
-            )
-            lookup = warm._weight_lookup(meta, devices, positions, new, inheritance)
-            fast_hier = warm._hierarchical_matching(
-                meta, devices, positions, new, inheritance, lookup=lookup
-            )
-            ref_hier = reference._hierarchical_matching(
-                meta, devices, positions, new, inheritance
-            )
-            assert fast_hier == ref_hier
-            assert list(fast_hier) == list(ref_hier)
+            assert warm_mapping.required_bytes == ref_mapping.required_bytes
+            if matcher == "greedy":
+                # Greedy picks edges by (weight, device, position), which
+                # sparsification cannot reorder: placements are identical.
+                assert warm_mapping.placement == ref_mapping.placement
+                assert list(warm_mapping.placement) == list(ref_mapping.placement)
+                assert warm_mapping.reused_bytes == ref_mapping.reused_bytes
+                continue
+            if matcher == "default":
+                # The hierarchical matching -- the branch that decides the
+                # golden digests -- must be bit-identical between production
+                # and the scalar oracle (the flat branch may tie-break
+                # differently after sparsification; its total is checked
+                # below).
+                positions = mesh_positions(
+                    new.data_degree, new.pipeline_degree, new.tensor_degree
+                )
+                lookup = warm._weight_lookup(meta, devices, positions, new, inheritance)
+                ref_lookup = reference._weight_lookup(
+                    meta, devices, positions, new, inheritance
+                )
+                fast_hier = warm._hierarchical_matching(lookup, devices, positions)
+                ref_hier = reference._hierarchical_matching(
+                    ref_lookup, devices, positions
+                )
+                assert fast_hier == ref_hier
+                assert list(fast_hier) == list(ref_hier)
             # Reuse accounting: both flat solves are optimal matchings of the
             # same matrix, so the totals agree (up to FP summation order of
             # equal-total matchings).
-            assert warm_mapping.required_bytes == ref_mapping.required_bytes
             assert warm_mapping.reused_bytes == pytest.approx(
                 ref_mapping.reused_bytes, rel=1e-12, abs=1e-6
             )
@@ -414,18 +444,9 @@ class TestFastPathEquivalence:
         mapper.evacuation_mode = True
         mapping = mapper.map_devices(meta, devices, config)
         assert not calls  # suspended during evacuation
-        reference = DeviceMapper(GPT_20B, fast_path=False)
+        reference = ScalarDeviceMapper(GPT_20B)
         reference.evacuation_mode = True
         assert mapping.placement == reference.map_devices(meta, devices, config).placement
-
-    def test_decompose_flag_off_matches_reference(self):
-        meta, devices, config = self.stateful_fleet(model=OPT_6_7B)
-        plain = DeviceMapper(OPT_6_7B, decompose=False, warm_start=False)
-        reference = DeviceMapper(OPT_6_7B, fast_path=False)
-        a = plain.map_devices(meta, devices, config)
-        b = reference.map_devices(meta, devices, config)
-        assert a.placement == b.placement
-        assert a.reused_bytes == b.reused_bytes
 
 
 class TestPerfCheckMapGuard:

@@ -1,13 +1,14 @@
 """Cache-correctness tests for the adaptation-round fast path.
 
 The fast path memoises controller estimates, feasible-config enumerations,
-cost-model entry points and per-round reuse weights.  These tests pin the
-two properties that make the caches safe: they are invalidated whenever an
-input they depend on changes, and a fully cached run is byte-identical to a
-fully uncached one.
+cost-model entry points and the mapper's warm-start states.  These tests pin
+the two properties that make the caches safe: they are invalidated whenever
+an input they depend on changes, and a fully cached run is byte-identical to
+a fully uncached one.
 """
 
 import pytest
+from oracles.scalar_mapper import ScalarDeviceMapper
 
 from repro.core.config import ConfigurationSpace, ParallelConfig
 from repro.core.controller import ParallelizationController
@@ -116,16 +117,6 @@ class TestMapperRoundCache:
     def devices(self, n, gpus=4):
         return [(f"inst-{i:02d}", g) for i in range(n) for g in range(gpus)]
 
-    def test_round_cache_is_dropped_between_calls(self):
-        meta = MetaContextManager(GPT_20B)
-        devices = self.devices(6)
-        config = ParallelConfig(2, 3, 4, 8)
-        _install(meta, devices, config)
-        mapper = DeviceMapper(GPT_20B)
-        mapper.map_devices(meta, devices, config)
-        assert mapper._round_weights is None
-        assert mapper._round_stateless is None
-
     def test_context_change_between_rounds_is_observed(self):
         """A weight cached in round N must not leak into round N+1."""
         meta = MetaContextManager(GPT_20B)
@@ -147,28 +138,20 @@ class TestMapperRoundCache:
         old = ParallelConfig(2, 3, 4, 8)
         new = ParallelConfig(1, 2, 8, 8)
         _install(meta, devices, old)
-        cached = DeviceMapper(GPT_20B, cache_weights=True).map_devices(
-            meta, devices, new
-        )
-        uncached = DeviceMapper(GPT_20B, cache_weights=False).map_devices(
-            meta, devices, new
-        )
+        cached = DeviceMapper(GPT_20B).map_devices(meta, devices, new)
+        uncached = ScalarDeviceMapper(GPT_20B).map_devices(meta, devices, new)
         assert cached.placement == uncached.placement
         assert cached.reused_bytes == pytest.approx(uncached.reused_bytes)
         assert cached.required_bytes == pytest.approx(uncached.required_bytes)
 
     def test_stateless_fleet_mapping_matches_uncached(self):
         # Stateless instances take the skip-the-solve path; the placement
-        # must equal the one the full Kuhn-Munkres pipeline produces.
+        # must equal the one the scalar oracle's graph solves produce.
         meta = MetaContextManager(GPT_20B)
         devices = self.devices(6)
         config = ParallelConfig(2, 3, 4, 8)
-        cached = DeviceMapper(GPT_20B, cache_weights=True).map_devices(
-            meta, devices, config
-        )
-        uncached = DeviceMapper(GPT_20B, cache_weights=False).map_devices(
-            meta, devices, config
-        )
+        cached = DeviceMapper(GPT_20B).map_devices(meta, devices, config)
+        uncached = ScalarDeviceMapper(GPT_20B).map_devices(meta, devices, config)
         assert cached.placement == uncached.placement
 
 
@@ -178,7 +161,6 @@ class UncachedSpotServe(SpotServeSystem):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.controller.memoize = False
-        self.device_mapper.cache_weights = False
         self.latency_model.disable_caches()
 
 
