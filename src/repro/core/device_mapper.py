@@ -39,7 +39,7 @@ from ..engine.placement import (
     position_model_bytes,
 )
 from ..llm.spec import ModelSpec
-from ..matching.bipartite import BipartiteGraph, positive_components
+from ..matching.bipartite import positive_components
 from ..matching.hungarian import (
     AssignmentState,
     greedy_assignment,
@@ -218,12 +218,13 @@ class DeviceMapper:
 
         * a device's whole weight row is a function of its *context
           signature* -- the (degrees, position, batch geometry) of its model
-          and cache contexts -- so the row is computed once per distinct
-          signature and shared across all devices carrying it (a fleet has
-          only O(positions) distinct signatures, not O(devices));
+          and cache contexts -- so rows are computed once per distinct
+          signature and gathered onto the devices carrying it;
         * within one signature the row factorises over the new mesh into a
-          per-stage layer overlap times a per-shard interval overlap, so one
-          (P_new,) x (M_new,) outer product replaces P*M scalar calls.
+          per-stage layer overlap times a per-shard interval overlap, so all
+          signatures are priced by one ``(S, P_new, M_new)`` broadcast
+          product, tiled across the ``D_new`` pipelines, plus the cache part
+          added to the data block that inherits each old pipeline.
 
         Bit-identity with :meth:`reuse_weight` holds because every numpy
         expression mirrors the scalar arithmetic operation for operation:
@@ -240,106 +241,23 @@ class DeviceMapper:
         pipeline_degree = new_config.pipeline_degree
         tensor_degree = new_config.tensor_degree
         cells_per_pipeline = pipeline_degree * tensor_degree
-        n_positions = data_degree * cells_per_pipeline
 
-        # New-mesh geometry, shared by every device: stage layer ranges and
-        # shard intervals exactly as stage_layer_range / shard_interval
-        # compute them (int * float products, elementwise).
-        layers_per_stage = num_layers / pipeline_degree
-        stage_idx = np.arange(pipeline_degree)
-        new_layer_lo = stage_idx * layers_per_stage
-        new_layer_hi = (stage_idx + 1) * layers_per_stage
-        shard_width = 1.0 / tensor_degree
-        shard_idx = np.arange(tensor_degree)
-        new_shard_lo = shard_idx * shard_width
-        new_shard_hi = (shard_idx + 1) * shard_width
-
-        def overlap_factors(old_pipeline, old_tensor, old_position):
-            """(per-stage layer overlap, per-shard fraction overlap)."""
-            old_lps = num_layers / old_pipeline
-            old_lo = old_position.stage_index * old_lps
-            old_hi = (old_position.stage_index + 1) * old_lps
-            layer_overlap = np.maximum(
-                0.0, np.minimum(old_hi, new_layer_hi) - np.maximum(old_lo, new_layer_lo)
-            )
-            old_width = 1.0 / old_tensor
-            old_shard_lo = old_position.shard_index * old_width
-            old_shard_hi = (old_position.shard_index + 1) * old_width
-            fraction_overlap = np.maximum(
-                0.0,
-                np.minimum(old_shard_hi, new_shard_hi)
-                - np.maximum(old_shard_lo, new_shard_lo),
-            )
-            return layer_overlap, fraction_overlap
-
-        def signature_row(model_sig, cache_sig):
-            row = np.zeros(n_positions)
-            if model_sig is not None:
-                layer_overlap, fraction_overlap = overlap_factors(*model_sig)
-                # (layer_overlap * layer_param_bytes) * fraction_overlap --
-                # same association as model_context_overlap_bytes.
-                cell = (layer_overlap * model.layer_param_bytes)[:, None] * (
-                    fraction_overlap[None, :]
-                )
-                # The model part ignores the data index (replicas hold
-                # identical parameters): tile across the D pipelines.
-                row += np.tile(cell.ravel(), data_degree)
-            if cache_sig is not None:
-                ctx, batch_size, cached_tokens = cache_sig
-                if cached_tokens > 0 and batch_size > 0:
-                    layer_overlap, fraction_overlap = overlap_factors(
-                        ctx.pipeline_degree, ctx.tensor_degree, ctx.position
-                    )
-                    per_layer_cache = (
-                        2.0
-                        * model.hidden_size
-                        * model.bytes_per_cache_element
-                        * batch_size
-                        * cached_tokens
-                    )
-                    cell = (layer_overlap * per_layer_cache)[:, None] * (
-                        fraction_overlap[None, :]
-                    )
-                    flat_cell = cell.ravel()
-                    old_data_index = ctx.position.data_index
-                    for new_data_index in range(data_degree):
-                        # Cache bytes only transfer into the pipeline that
-                        # inherits the old pipeline's in-flight requests.
-                        inherits = True
-                        if pipeline_inheritance is not None:
-                            inherits = (
-                                pipeline_inheritance.get(old_data_index)
-                                == new_data_index
-                            )
-                        if inherits:
-                            start = new_data_index * cells_per_pipeline
-                            row[start : start + cells_per_pipeline] += flat_cell
-            return row
-
-        matrix = np.zeros((len(devices), n_positions))
-        row_cache: Dict[Tuple, np.ndarray] = {}
+        # Distinct signatures in first-seen order, and the signature index of
+        # every stateful row.  A signature is (model key, cache key), either
+        # None: (P, M, position) and (P, M, position, batch size, tokens).
+        signature_of: Dict[Tuple, int] = {}
+        rows: List[int] = []
+        row_signatures: List[int] = []
         for row_index, device_id in enumerate(devices):
             daemon = meta_context.daemon(device_id)
             model_ctx = daemon.model_context
             cache_ctx = daemon.cache_context
             if model_ctx is None and cache_ctx is None:
                 continue  # stateless: the row stays provably all-zero
-            model_sig = (
-                (
-                    model_ctx.pipeline_degree,
-                    model_ctx.tensor_degree,
-                    model_ctx.position,
-                )
-                if model_ctx is not None
-                else None
-            )
-            cache_sig = (
-                (cache_ctx, cache_ctx.batch_size, cache_ctx.cached_tokens)
-                if cache_ctx is not None
-                else None
-            )
             key = (
-                model_sig,
+                None
+                if model_ctx is None
+                else (model_ctx.pipeline_degree, model_ctx.tensor_degree, model_ctx.position),
                 None
                 if cache_ctx is None
                 else (
@@ -350,11 +268,94 @@ class DeviceMapper:
                     cache_ctx.cached_tokens,
                 ),
             )
-            row = row_cache.get(key)
-            if row is None:
-                row = signature_row(model_sig, cache_sig)
-                row_cache[key] = row
-            matrix[row_index] = row
+            rows.append(row_index)
+            row_signatures.append(signature_of.setdefault(key, len(signature_of)))
+
+        matrix = np.zeros((len(devices), data_degree * cells_per_pipeline))
+        if not rows:
+            return matrix
+
+        # New-mesh geometry, shared by every signature: stage layer ranges
+        # and shard intervals exactly as stage_layer_range / shard_interval
+        # compute them (int * float products, elementwise).
+        layers_per_stage = num_layers / pipeline_degree
+        stage_idx = np.arange(pipeline_degree)
+        new_layer_lo = stage_idx * layers_per_stage
+        new_layer_hi = (stage_idx + 1) * layers_per_stage
+        shard_width = 1.0 / tensor_degree
+        shard_idx = np.arange(tensor_degree)
+        new_shard_lo = shard_idx * shard_width
+        new_shard_hi = (shard_idx + 1) * shard_width
+
+        def overlap_factors(keys):
+            """(S, P_new) layer and (S, M_new) shard overlaps of S context keys."""
+            old_lps = num_layers / np.array([key[0] for key in keys])
+            stage = np.array([key[2].stage_index for key in keys])
+            old_lo = (stage * old_lps)[:, None]
+            old_hi = ((stage + 1) * old_lps)[:, None]
+            layer_overlap = np.maximum(
+                0.0, np.minimum(old_hi, new_layer_hi) - np.maximum(old_lo, new_layer_lo)
+            )
+            old_width = 1.0 / np.array([key[1] for key in keys])
+            shard = np.array([key[2].shard_index for key in keys])
+            old_shard_lo = (shard * old_width)[:, None]
+            old_shard_hi = ((shard + 1) * old_width)[:, None]
+            fraction_overlap = np.maximum(
+                0.0,
+                np.minimum(old_shard_hi, new_shard_hi)
+                - np.maximum(old_shard_lo, new_shard_lo),
+            )
+            return layer_overlap, fraction_overlap
+
+        # (signature, new data index, stage-shard cell) weights.
+        table = np.zeros((len(signature_of), data_degree, cells_per_pipeline))
+        model_keys = [
+            (index, key) for index, (key, _) in enumerate(signature_of) if key is not None
+        ]
+        if model_keys:
+            indices, keys = zip(*model_keys)
+            layer_overlap, fraction_overlap = overlap_factors(keys)
+            # (layer_overlap * layer_param_bytes) * fraction_overlap -- same
+            # association as model_context_overlap_bytes.  The model part
+            # ignores the data index (replicas hold identical parameters), so
+            # it is broadcast across the D pipelines.
+            cell = (layer_overlap * model.layer_param_bytes)[:, :, None] * (
+                fraction_overlap[:, None, :]
+            )
+            table[list(indices)] += cell.reshape(len(keys), 1, cells_per_pipeline)
+        # Cache contexts with no tokens or an empty batch weigh nothing.
+        cache_keys = [
+            (index, key)
+            for index, (_, key) in enumerate(signature_of)
+            if key is not None and key[3] > 0 and key[4] > 0
+        ]
+        if cache_keys:
+            indices, keys = zip(*cache_keys)
+            layer_overlap, fraction_overlap = overlap_factors(keys)
+            batch_size = np.array([key[3] for key in keys])
+            cached_tokens = np.array([key[4] for key in keys])
+            per_layer_cache = (
+                2.0
+                * model.hidden_size
+                * model.bytes_per_cache_element
+                * batch_size
+                * cached_tokens
+            )
+            cell = (layer_overlap * per_layer_cache[:, None])[:, :, None] * (
+                fraction_overlap[:, None, :]
+            )
+            cell = cell.reshape(len(keys), cells_per_pipeline)
+            if pipeline_inheritance is None:
+                table[list(indices)] += cell[:, None, :]
+            else:
+                # Cache bytes only transfer into the pipeline that inherits
+                # the old pipeline's in-flight requests.
+                blocks = range(data_degree)
+                for index, key, block in zip(indices, keys, cell):
+                    target = pipeline_inheritance.get(key[2].data_index)
+                    if target in blocks:
+                        table[index, target] += block
+        matrix[rows] = table.reshape(len(signature_of), -1)[row_signatures]
         return matrix
 
     def _flat_matching(
@@ -535,7 +536,8 @@ class DeviceMapper:
         (fleets are full of instances sharing a context signature), and the
         intra-instance placements are materialised lazily -- only for the
         (instance, group) pairs the outer matching actually selects, rather
-        than eagerly for all n_instances x n_groups combinations.
+        than eagerly for all n_instances x n_groups combinations.  The inner
+        weights fill the instance x group matrix the outer matcher solves.
         """
         # Group the target positions into instance-sized chunks, keeping the
         # deterministic (d, p, m) order so tensor shards stay co-located.
@@ -550,19 +552,16 @@ class DeviceMapper:
             per_instance.setdefault(device_id[0], []).append(device_id)
 
         instance_ids = sorted(per_instance)
-        group_graph: BipartiteGraph = BipartiteGraph()
-        for instance_id in instance_ids:
-            group_graph.add_left(instance_id)
-        for group_index, group in enumerate(groups):
-            group_graph.add_right(group_index)
-
         matrix, row_of, _ = lookup
         # groups chunk `positions` in order, so group g occupies the
         # contiguous column slice [g * gpi, (g + 1) * gpi).
-        inner_pairs: Dict[Tuple[str, int], Optional[List[Tuple[int, int]]]] = {}
+        inner_pairs: Dict[Tuple[int, int], Optional[List[Tuple[int, int]]]] = {}
         solve_memo: Dict[Tuple, Tuple[List[Tuple[int, int]], float]] = {}
         gpi = self.gpus_per_instance
         n_groups = len(groups)
+        # Instance x group weights: rows are the sorted instance ids, columns
+        # the group indices; only positive inner weights are set.
+        outer = np.zeros((len(instance_ids), n_groups))
         # The common fleet shape -- every instance holds exactly gpi GPUs
         # and the mesh splits into whole groups -- lets one 4-d reshape
         # replace the n_instances x n_groups per-block nonzero probes.
@@ -589,14 +588,14 @@ class DeviceMapper:
                     if not nonzero[instance_index, group_index]:
                         # All weights provably zero: Kuhn-Munkres would
                         # return the identity pairing, i.e. a positional zip.
-                        inner_pairs[(instance_id, group_index)] = None
+                        inner_pairs[(instance_index, group_index)] = None
                         continue
                     sub = gathered[instance_index, :, group_index, :]
                 else:
                     start = group_index * gpi
                     sub = instance_block[:, start : start + len(groups[group_index])]
                     if not sub.any():
-                        inner_pairs[(instance_id, group_index)] = None
+                        inner_pairs[(instance_index, group_index)] = None
                         continue
                 memo_key = (sub.shape, sub.tobytes())
                 memoised = solve_memo.get(memo_key)
@@ -608,22 +607,23 @@ class DeviceMapper:
                     memoised = (pairs, weight)
                     solve_memo[memo_key] = memoised
                 pairs, weight = memoised
-                inner_pairs[(instance_id, group_index)] = pairs
+                inner_pairs[(instance_index, group_index)] = pairs
                 if weight > 0:
-                    group_graph.set_weight(instance_id, group_index, weight)
+                    outer[instance_index, group_index] = weight
 
+        # Both matchers return no pairs for an empty outer matrix.
         if self.use_optimal_matching:
-            instance_matching = group_graph.maximum_weight_matching()
+            instance_pairs = maximum_weight_assignment(outer)
         else:
-            instance_matching = group_graph.greedy_matching()
+            instance_pairs = greedy_assignment(outer)
 
         placement: Dict[DeviceId, TopologyPosition] = {}
-        for instance_id, group_index in instance_matching.items():
+        for instance_index, group_index in instance_pairs:
             placement.update(
                 self._materialise_inner(
-                    per_instance[instance_id],
+                    per_instance[instance_ids[instance_index]],
                     groups[group_index],
-                    inner_pairs[(instance_id, group_index)],
+                    inner_pairs[(instance_index, group_index)],
                 )
             )
 

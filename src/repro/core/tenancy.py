@@ -114,6 +114,27 @@ class TenantSpec:
     #: Seconds between this tenant's adaptation rounds.
     workload_check_interval: float = 30.0
 
+    def __post_init__(self) -> None:
+        # ``not x > 0`` also rejects NaN, for which every comparison is false.
+        if not self.name:
+            raise ValueError("tenant name must be non-empty")
+        if not self.priority > 0:
+            raise ValueError(f"tenant {self.name!r}: priority must be positive")
+        if self.min_instances < 0:
+            raise ValueError(f"tenant {self.name!r}: min_instances must be >= 0")
+        if self.max_instances is not None and self.max_instances < self.min_instances:
+            raise ValueError(
+                f"tenant {self.name!r}: max_instances must be >= min_instances"
+            )
+        if not self.arrival_rate >= 0:
+            raise ValueError(f"tenant {self.name!r}: arrival_rate must be >= 0")
+        if not self.cv > 0:
+            raise ValueError(f"tenant {self.name!r}: cv must be positive")
+        if not self.workload_check_interval > 0:
+            raise ValueError(
+                f"tenant {self.name!r}: workload_check_interval must be positive"
+            )
+
     def arrival_process(self) -> ArrivalProcess:
         """The tenant's seeded Gamma arrival workload."""
         return GammaArrivals(self.arrival_rate, cv=self.cv, seed=self.seed)

@@ -25,7 +25,11 @@ function of the first ``k`` cost rows).  Because the warm path replays the
 reference arithmetic exactly from a recorded intermediate state, its
 result is **bit-identical** to a cold solve of the same matrix -- never
 merely "another optimal assignment" (pinned by
-``tests/test_matching_warm_start.py``).
+``tests/test_mapper_fast_path.py``).
+
+Every solve, cold or warm, runs the same row sweep on plain Python lists;
+``tests/test_matching_bruteforce.py`` pins its assignments against a
+verbatim copy of the original solver.
 """
 
 from __future__ import annotations
@@ -36,12 +40,9 @@ import numpy as np
 
 _INF = float("inf")
 
-#: Below this size the scalar solver beats the vectorized one (numpy call
-#: overhead exceeds the loop cost on tiny matrices, and the device mapper's
-#: inner intra-instance matchings are typically 4x4).  Both solvers perform
-#: the identical arithmetic in the identical order, so the choice of path
-#: never changes an assignment (pinned by tests/test_matching_bruteforce.py).
-_SCALAR_THRESHOLD = 8
+#: Per-row sweep state ``(u, v, match_col)``: row potentials, column
+#: potentials and the 1-based row matched to each column.
+_Snapshot = Tuple[List[float], List[float], List[int]]
 
 
 class AssignmentState:
@@ -63,8 +64,8 @@ class AssignmentState:
 
     def __init__(
         self,
-        padded: np.ndarray,
-        snapshots: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+        padded: List[List[float]],
+        snapshots: List[_Snapshot],
         assignment: List[int],
         resumed_from: int,
     ) -> None:
@@ -74,57 +75,60 @@ class AssignmentState:
         self.resumed_from = resumed_from
 
 
-def _jv_rows(
-    padded: np.ndarray,
+def _jv_sweep(
+    padded: List[List[float]],
     n: int,
-    u: np.ndarray,
-    v: np.ndarray,
-    match_col: np.ndarray,
+    u: List[float],
+    v: List[float],
+    match_col: List[int],
     start_row: int,
-    snapshots: Optional[List[Tuple[np.ndarray, np.ndarray, np.ndarray]]],
+    snapshots: Optional[List[_Snapshot]],
 ) -> None:
     """Process rows ``start_row+1 .. n`` of the shortest-augmenting-path sweep.
 
     Mutates ``u``/``v``/``match_col`` in place.  When *snapshots* is given,
     appends a copy of the state after every processed row (the sweep's state
     after ``k`` rows depends only on the first ``k`` cost rows, which is what
-    makes prefix-resume warm starts exact).
+    makes prefix-resume warm starts exact).  Plain Python lists beat numpy
+    at every size the device mapper produces (4x4 intra-instance blocks up
+    to ~30x30 outer and component solves), where per-call overhead dominates.
     """
-    way = np.zeros(n + 1, dtype=int)
+    way = [0] * (n + 1)
     for row in range(start_row + 1, n + 1):
         match_col[0] = row
         j0 = 0
-        minv = np.full(n + 1, _INF)
-        used = np.zeros(n + 1, dtype=bool)
+        minv = [_INF] * (n + 1)
+        # Used columns in the order they joined the tree (column 0 holds the
+        # current row); free columns stay ascending, so the strict ``<``
+        # running minimum below picks the lowest-index minimiser.
+        used = [0]
+        free = list(range(1, n + 1))
         while True:
-            used[j0] = True
             i0 = match_col[j0]
-            # Relax every free column against the newly used column j0.  The
-            # element-wise arithmetic and the strict ``<`` comparisons mirror
-            # the scalar loop exactly, so potentials, reduced costs and the
-            # final assignment are bit-for-bit identical to the original
-            # Python implementation.
-            free = ~used
-            free[0] = False
-            cur = padded[i0] - u[i0] - v
-            improved = free & (cur < minv)
-            minv[improved] = cur[improved]
-            way[improved] = j0
-            # Among free columns pick the smallest reduced cost; argmin
-            # returns the first (lowest-index) minimiser, matching the
-            # strict-inequality running minimum of the scalar loop.
-            candidates = np.where(free, minv, _INF)
-            j1 = int(np.argmin(candidates[1:])) + 1
-            delta = candidates[j1]
-            # match_col is injective on the used columns (each matched column
-            # holds a distinct row and column 0 holds the yet-unmatched
-            # current row), so the fancy-indexed += touches each row once.
-            u[match_col[used]] += delta
-            v[used] -= delta
-            minv[free] -= delta
+            row_i0 = padded[i0]
+            u_i0 = u[i0]
+            delta = _INF
+            j1 = -1
+            # Relax every free column against the newly used column j0.
+            for j in free:
+                cur = row_i0[j] - u_i0 - v[j]
+                best = minv[j]
+                if cur < best:
+                    minv[j] = best = cur
+                    way[j] = j0
+                if best < delta:
+                    delta = best
+                    j1 = j
+            for j in used:
+                u[match_col[j]] += delta
+                v[j] -= delta
+            for j in free:
+                minv[j] -= delta
             j0 = j1
             if match_col[j0] == 0:
                 break
+            used.append(j0)
+            free.remove(j0)
         # Augment along the found path.
         while True:
             j1 = way[j0]
@@ -133,10 +137,10 @@ def _jv_rows(
             if j0 == 0:
                 break
         if snapshots is not None:
-            snapshots.append((u.copy(), v.copy(), match_col.copy()))
+            snapshots.append((u[:], v[:], match_col[:]))
 
 
-def _extract_assignment(match_col: np.ndarray, n: int) -> List[int]:
+def _extract_assignment(match_col: List[int], n: int) -> List[int]:
     """Row -> column assignment (0-based) from the 1-based matched columns."""
     assignment = [0] * n
     for j in range(1, n + 1):
@@ -145,117 +149,29 @@ def _extract_assignment(match_col: np.ndarray, n: int) -> List[int]:
     return assignment
 
 
-def _solve_square_scalar(cost: np.ndarray) -> List[int]:
-    """Scalar-loop variant of :func:`_solve_square` for tiny matrices."""
-    n = cost.shape[0]
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    match_col = [0] * (n + 1)
-    way = [0] * (n + 1)
-    padded = [[0.0] * (n + 1)] + [
-        [0.0] + [float(cost[i, j]) for j in range(n)] for i in range(n)
-    ]
-
-    for row in range(1, n + 1):
-        match_col[0] = row
-        j0 = 0
-        minv = [_INF] * (n + 1)
-        used = [False] * (n + 1)
-        while True:
-            used[j0] = True
-            i0 = match_col[j0]
-            row_i0 = padded[i0]
-            u_i0 = u[i0]
-            delta = _INF
-            j1 = -1
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = row_i0[j] - u_i0 - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[match_col[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if match_col[j0] == 0:
-                break
-        while True:
-            j1 = way[j0]
-            match_col[j0] = match_col[j1]
-            j0 = j1
-            if j0 == 0:
-                break
-
-    assignment = [0] * n
-    for j in range(1, n + 1):
-        if match_col[j] != 0:
-            assignment[match_col[j] - 1] = j - 1
-    return assignment
-
-
-def _solve_square(cost: np.ndarray) -> List[int]:
-    """Solve the square assignment problem, returning column of each row.
-
-    Implementation of the Jonker-Volgenant style shortest augmenting path
-    formulation of the Hungarian method with potentials, O(n^3).  The inner
-    loops are vectorized with numpy; tiny matrices take the scalar path.
-    """
-    n = cost.shape[0]
-    if n <= _SCALAR_THRESHOLD:
-        return _solve_square_scalar(cost)
-    # Potentials for rows (u) and columns (v); way[j] remembers the previous
-    # column on the augmenting path to column j.
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    match_col = np.full(n + 1, 0, dtype=int)  # p[j] = row matched to column j (1-based)
-
-    # 1-based padded cost matrix for cleaner index arithmetic.
-    padded = np.zeros((n + 1, n + 1))
-    padded[1:, 1:] = cost
-    _jv_rows(padded, n, u, v, match_col, start_row=0, snapshots=None)
-    return _extract_assignment(match_col, n)
-
-
-def _solve_square_stateful(
-    square: np.ndarray,
+def _solve_padded(
+    padded: List[List[float]],
+    n: int,
     seed: Optional[AssignmentState],
     record: bool,
 ) -> Tuple[List[int], Optional[AssignmentState]]:
-    """Warm-startable square solve (always the vectorized sweep).
+    """Solve the padded ``n x n`` problem, optionally warm-started.
 
-    Finds the longest prefix of cost rows that is byte-identical to the
-    *seed* state's matrix, restores the recorded potentials and partial
+    Finds the longest prefix of cost rows that equals the *seed* state's
+    matrix row for row, restores the recorded potentials and partial
     matching after that prefix, and sweeps only the remaining rows.  A full
     prefix is a cache hit: the previous assignment is returned without any
     work.  Falls back to a cold sweep when the seed is absent or its shape
     differs (config or fleet-size change).
-
-    The scalar/vectorized paths are bit-identical (see ``_SCALAR_THRESHOLD``),
-    so routing warm solves through the vectorized sweep never changes an
-    assignment relative to :func:`_solve_square`.
     """
-    n = square.shape[0]
-    padded = np.zeros((n + 1, n + 1))
-    padded[1:, 1:] = square
-
     prefix = 0
-    if seed is not None and seed.padded.shape == padded.shape and seed.snapshots:
-        row_equal = np.all(seed.padded == padded, axis=1)
+    if seed is not None and len(seed.padded) == n + 1 and seed.snapshots:
         # Longest run of equal leading *cost* rows (row 0 is the shared
         # zero padding), capped by how many snapshots the seed recorded.
         limit = min(n, len(seed.snapshots) - 1)
-        for i in range(1, limit + 1):
-            if not row_equal[i]:
-                break
-            prefix = i
+        seed_rows = seed.padded
+        while prefix < limit and seed_rows[prefix + 1] == padded[prefix + 1]:
+            prefix += 1
         if prefix == n:
             # Identical matrix: the previous solution is *the* solution.
             seed.resumed_from = n
@@ -263,19 +179,15 @@ def _solve_square_stateful(
 
     if prefix > 0:
         u0, v0, mc0 = seed.snapshots[prefix]
-        u = u0.copy()
-        v = v0.copy()
-        match_col = mc0.copy()
-        snapshots = list(seed.snapshots[: prefix + 1]) if record else None
+        u, v, match_col = u0[:], v0[:], mc0[:]
+        snapshots = seed.snapshots[: prefix + 1] if record else None
     else:
-        u = np.zeros(n + 1)
-        v = np.zeros(n + 1)
-        match_col = np.full(n + 1, 0, dtype=int)
-        snapshots = (
-            [(u.copy(), v.copy(), match_col.copy())] if record else None
-        )
+        u = [0.0] * (n + 1)
+        v = [0.0] * (n + 1)
+        match_col = [0] * (n + 1)
+        snapshots = [(u[:], v[:], match_col[:])] if record else None
 
-    _jv_rows(padded, n, u, v, match_col, start_row=prefix, snapshots=snapshots)
+    _jv_sweep(padded, n, u, v, match_col, prefix, snapshots)
     assignment = _extract_assignment(match_col, n)
     state = None
     if record:
@@ -312,16 +224,15 @@ def minimum_cost_assignment(
         raise ValueError("cost_matrix entries must be finite")
     rows, cols = cost.shape
     size = max(rows, cols)
-    # Pad to a square matrix with zeros: padded cells are "dummy" assignments.
-    padded = np.zeros((size, size))
-    padded[:rows, :cols] = cost
-    state = None
-    if initial_assignment is not None or return_state:
-        assignment, state = _solve_square_stateful(
-            padded, initial_assignment, record=return_state
-        )
-    else:
-        assignment = _solve_square(padded)
+    # Pad to a square matrix with zeros (padded cells are "dummy"
+    # assignments), then prepend the zero row and column of 1-based indexing.
+    zero_row = [0.0] * (size + 1)
+    pad = [0.0] * (size - cols)
+    padded = [zero_row] + [[0.0] + row + pad for row in cost.tolist()]
+    padded += [zero_row] * (size - rows)
+    assignment, state = _solve_padded(
+        padded, size, initial_assignment, record=return_state
+    )
     pairs = [
         (row, col)
         for row, col in enumerate(assignment)

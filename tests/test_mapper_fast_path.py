@@ -114,6 +114,32 @@ class TestWarmStartSolver:
             )
             assert warm == minimum_cost_assignment(cost)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tie_heavy_round_chain_at_n30_matches_cold(self, seed):
+        """Outer-solve sized rounds with tie-heavy rows: warm == cold."""
+        rng = np.random.default_rng(300 + seed)
+        size = 30
+        cost = rng.integers(0, 3, size=(size, size)).astype(float)
+        state = None
+        resumed = []
+        for _ in range(8):
+            delta_kind = rng.integers(0, 3)
+            if delta_kind == 0:
+                # Re-draw a suffix of rows (fleet tail churn).
+                row = int(rng.integers(1, size))
+                cost[row:] = rng.integers(0, 3, size=(size - row, size))
+            elif delta_kind == 1:
+                # Re-draw one row.
+                cost[rng.integers(0, size)] = rng.integers(0, 3, size=size)
+            # delta_kind == 2: unchanged matrix (full cache hit).
+            warm, state = minimum_cost_assignment(
+                cost, initial_assignment=state, return_state=True
+            )
+            resumed.append(state.resumed_from)
+            assert warm == minimum_cost_assignment(cost)
+        # The chain exercised a mid-sweep resume, not only cold solves.
+        assert any(0 < rows < size for rows in resumed)
+
     def test_rectangular_warm_start(self):
         rng = np.random.default_rng(17)
         weights = random_matrix(rng, 9, 5)
@@ -265,8 +291,57 @@ def random_fleet_state(rng, model):
     return meta, devices, old
 
 
+def stress_fleet_state(rng, meta, devices, old, variant):
+    """Add the context shapes :func:`random_fleet_state` never draws."""
+    positions = mesh_positions(old.data_degree, old.pipeline_degree, old.tensor_degree)
+    if variant == "empty-cache":
+        # cached_tokens == 0 or batch_size == 0: the cache guard branch.
+        for index, (device, position) in enumerate(zip(devices, positions)):
+            empty_tokens = index % 2 == 0
+            meta.daemon(device).install_cache_context(
+                old.pipeline_degree,
+                old.tensor_degree,
+                position,
+                batch_size=int(rng.integers(1, 9)) if empty_tokens else 0,
+                cached_tokens=0 if empty_tokens else int(rng.integers(1, 700)),
+            )
+    elif variant == "cache-only":
+        # Devices holding a KV cache but no model context.
+        for index, (device, position) in enumerate(zip(devices, positions)):
+            daemon = meta.daemon(device)
+            if index % 2 == 0:
+                daemon.model_context = None
+                daemon.install_cache_context(
+                    old.pipeline_degree,
+                    old.tensor_degree,
+                    position,
+                    batch_size=int(rng.integers(1, 9)),
+                    cached_tokens=int(rng.integers(1, 700)),
+                )
+    elif variant == "shared-signature":
+        # Most of the fleet carries one identical context signature.
+        shared = positions[int(rng.integers(0, len(positions)))]
+        for index, device in enumerate(devices):
+            if index % 4 != 3:
+                daemon = meta.daemon(device)
+                daemon.install_model_context(
+                    old.pipeline_degree, old.tensor_degree, shared
+                )
+                daemon.install_cache_context(
+                    old.pipeline_degree,
+                    old.tensor_degree,
+                    shared,
+                    batch_size=4,
+                    cached_tokens=256,
+                )
+
+
 class TestWeightMatrixBitIdentity:
-    @pytest.mark.parametrize("seed", range(10))
+    #: Seeds 0-9 draw plain random fleets; each further block of ten adds
+    #: one corner case via :func:`stress_fleet_state`.
+    VARIANTS = ("random", "empty-cache", "cache-only", "shared-signature")
+
+    @pytest.mark.parametrize("seed", range(40))
     def test_vectorized_matrix_equals_scalar_weights_bitwise(self, seed):
         rng = np.random.default_rng(seed)
         model = GPT_20B if seed % 2 else OPT_6_7B
@@ -283,6 +358,12 @@ class TestWeightMatrixBitIdentity:
                 d: int(rng.integers(0, new.data_degree))
                 for d in range(old.data_degree)
             }
+        variant = self.VARIANTS[seed // 10]
+        if variant != "random":
+            stress_fleet_state(rng, meta, devices, old, variant)
+            if inheritance is not None and seed % 3 == 0:
+                # An inheritance map that omits an old data index.
+                del inheritance[int(rng.integers(0, old.data_degree))]
         mapper = DeviceMapper(model)
         positions = mesh_positions(
             new.data_degree, new.pipeline_degree, new.tensor_degree

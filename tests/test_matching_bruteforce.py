@@ -13,8 +13,6 @@ import numpy as np
 import pytest
 
 from repro.matching.hungarian import (
-    _SCALAR_THRESHOLD,
-    _solve_square,
     assignment_weight,
     greedy_assignment,
     maximum_weight_assignment,
@@ -25,10 +23,9 @@ from repro.matching.hungarian import (
 def reference_solve_square(cost):
     """The original scalar-loop Jonker-Volgenant solver, kept verbatim.
 
-    The production solver routes small matrices through a scalar fast path
-    and larger ones through numpy-vectorized inner loops; both must
-    reproduce this reference *assignment* (not merely its cost), pinning
-    the tie-breaking order of the vectorized argmin.
+    The production solver runs one list-based sweep for every size, cold
+    or warm; it must reproduce this reference *assignment* (not merely its
+    cost), pinning its tie-breaking order.
     """
     cost = np.asarray(cost, dtype=float)
     n = cost.shape[0]
@@ -79,6 +76,27 @@ def reference_solve_square(cost):
         if match_col[j] != 0:
             assignment[match_col[j] - 1] = j - 1
     return assignment
+
+
+def solve_square(cost):
+    """Column of each row chosen by the production solver on a square matrix."""
+    pairs = minimum_cost_assignment(cost)
+    assert [row for row, _ in pairs] == list(range(len(cost)))
+    return [col for _, col in pairs]
+
+
+def reference_rectangular(cost):
+    """Reference pairs for a rectangular matrix, zero-padded to a square."""
+    cost = np.asarray(cost, dtype=float)
+    rows, cols = cost.shape
+    size = max(rows, cols)
+    square = np.zeros((size, size))
+    square[:rows, :cols] = cost
+    return [
+        (row, col)
+        for row, col in enumerate(reference_solve_square(square))
+        if row < rows and col < cols
+    ]
 
 
 def brute_force_min_cost(cost):
@@ -193,21 +211,27 @@ class TestRandomizedCrossCheck:
 
 
 class TestVectorizedSolver:
-    """Pin the vectorized solver against the scalar reference implementation.
+    """Pin the list-based sweep against the verbatim reference solver.
 
-    These matrices exercise the numpy fast path (sizes beyond the scalar
-    threshold), the scalar fast path, and the shapes the device mapper
-    produces at scale: rectangular fleets, all-zero (stateless) graphs and
-    tie-heavy duplicate weights.  Assignments -- not just costs -- must match
-    so the vectorized argmin tie-breaking is pinned exactly.
+    One sweep serves every size, from the mapper's 4x4 intra-instance
+    blocks to its ~30x30 outer and component solves.  These matrices cover
+    fixed sizes 1-40, the rectangular outer shapes the workloads produce,
+    all-zero (stateless) graphs and tie-heavy duplicate weights.
+    Assignments -- not just costs -- must match, so the tie-breaking order
+    is pinned exactly.
     """
 
-    @pytest.mark.parametrize("seed", range(100, 120))
-    def test_assignments_identical_to_reference_across_threshold(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 2 * _SCALAR_THRESHOLD))
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_uniform_assignments_identical_to_reference(self, n):
+        rng = np.random.default_rng(1000 + n)
         cost = rng.uniform(0.0, 10.0, size=(n, n))
-        assert _solve_square(cost.copy()) == reference_solve_square(cost)
+        assert solve_square(cost.copy()) == reference_solve_square(cost)
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_tie_heavy_fixed_sizes_identical_to_reference(self, n):
+        rng = np.random.default_rng(2000 + n)
+        cost = rng.integers(0, 3, size=(n, n)).astype(float)
+        assert solve_square(cost.copy()) == reference_solve_square(cost)
 
     @pytest.mark.parametrize("seed", range(120, 136))
     def test_tie_heavy_assignments_identical_to_reference(self, seed):
@@ -216,14 +240,26 @@ class TestVectorizedSolver:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 14))
         cost = rng.integers(0, 2, size=(n, n)).astype(float)
-        assert _solve_square(cost.copy()) == reference_solve_square(cost)
+        assert solve_square(cost.copy()) == reference_solve_square(cost)
 
-    @pytest.mark.parametrize("n", [1, 4, _SCALAR_THRESHOLD, _SCALAR_THRESHOLD + 1, 12])
+    @pytest.mark.parametrize("shape", [(13, 12), (10, 9), (11, 9), (15, 16)])
+    @pytest.mark.parametrize("ties", [False, True], ids=["uniform", "ties"])
+    def test_outer_shapes_identical_to_reference(self, shape, ties):
+        # Instance x group shapes of the hierarchical outer solve.
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        if ties:
+            weights = rng.integers(0, 3, size=shape).astype(float)
+        else:
+            weights = rng.uniform(0.0, 10.0, size=shape)
+        cost = weights.max() - weights
+        assert minimum_cost_assignment(cost) == reference_rectangular(cost)
+        assert maximum_weight_assignment(weights) == reference_rectangular(cost)
+
+    @pytest.mark.parametrize("n", [1, 4, 8, 9, 12])
     def test_all_zero_square_yields_identity(self, n):
         # The device mapper skips inner solves for stateless instances on the
-        # grounds that KM on an all-zero matrix is the identity pairing; this
-        # pins that equivalence on both solver paths.
-        assert _solve_square(np.zeros((n, n))) == list(range(n))
+        # grounds that KM on an all-zero matrix is the identity pairing.
+        assert solve_square(np.zeros((n, n))) == list(range(n))
 
     @pytest.mark.parametrize("shape", [(3, 7), (7, 3), (2, 12), (12, 2)])
     def test_all_zero_rectangular_yields_identity_prefix(self, shape):

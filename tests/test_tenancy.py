@@ -591,6 +591,50 @@ class TestTenantLabel:
         assert "tenant='latency-tier'" in stats.summary_text()
 
 
+class TestTenantSpecValidation:
+    """Malformed tenant specs fail when they are built, not inside a run."""
+
+    def test_defaults_are_valid(self):
+        spec = TenantSpec(name="t", min_instances=2, max_instances=2, arrival_rate=0.0)
+        assert spec.max_instances == spec.min_instances
+
+    def test_empty_name_rejected(self):
+        with pytest.raises(ValueError, match="name"):
+            TenantSpec(name="")
+
+    @pytest.mark.parametrize("priority", [0.0, -1.0, float("nan")])
+    def test_non_positive_or_nan_priority_rejected(self, priority):
+        with pytest.raises(ValueError, match="priority"):
+            TenantSpec(name="t", priority=priority)
+
+    def test_negative_min_instances_rejected(self):
+        with pytest.raises(ValueError, match="min_instances"):
+            TenantSpec(name="t", min_instances=-1)
+
+    def test_max_below_min_instances_rejected(self):
+        with pytest.raises(ValueError, match="max_instances"):
+            TenantSpec(name="t", min_instances=3, max_instances=2)
+
+    def test_negative_arrival_rate_rejected(self):
+        with pytest.raises(ValueError, match="arrival_rate"):
+            TenantSpec(name="t", arrival_rate=-0.1)
+
+    @pytest.mark.parametrize("cv", [0.0, -2.0])
+    def test_non_positive_cv_rejected(self, cv):
+        with pytest.raises(ValueError, match="cv"):
+            TenantSpec(name="t", cv=cv)
+
+    @pytest.mark.parametrize("interval", [0.0, -30.0])
+    def test_non_positive_check_interval_rejected(self, interval):
+        with pytest.raises(ValueError, match="workload_check_interval"):
+            TenantSpec(name="t", workload_check_interval=interval)
+
+    def test_replace_is_validated_too(self):
+        spec = TenantSpec(name="t")
+        with pytest.raises(ValueError, match="priority"):
+            dataclasses.replace(spec, priority=-1.0)
+
+
 # ----------------------------------------------------------------------
 # Perf-harness integration: the multi_tenant scenario and its --check guards
 # ----------------------------------------------------------------------
