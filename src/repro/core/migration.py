@@ -29,34 +29,35 @@ test oracle ``tests/oracles/scalar_planner.py``:
 1. **Geometry interning** — ``stage_layer_range`` / ``shard_interval`` /
    ``stage_layers`` are pure functions of small integer signatures and are
    memoised at module level; holder tables are built per distinct
-   (degrees, stage, shard) context signature instead of per device.
-2. **Signature-grouped step construction** — the sorted source candidate
-   order for a destination depends on the destination only through its
-   instance (when that instance holds the layer) or its zone (when it does
-   not), so the ranked candidate list and the greedy piece decomposition
-   are computed once per (layer, rank class, needed segment) and the
-   resulting ``Transfer`` lists instantiated per device.  Model and cache
-   steps share this cover loop (:meth:`MigrationPlanner._cover`), and the
-   greedy cover itself is :meth:`MigrationPlanner._pieces_from_sources`.
-   Equivalence with a per-destination sort reduces to the candidate order
-   being equal — which it is, because the sort key ``(not same_instance,
-   not same_zone, device_id)`` is a total order (device ids are unique).
-3. **Cross-round plan memoisation** — the finished plan is a pure function
-   of (context signatures, placement, config, cache requirements,
-   evacuation mode, buffer budget, network spec and zones), so repeated
-   (placement, placement) shapes across rounds return the cached
-   :class:`MigrationPlan` object.  The serving system invalidates the memo
-   when an instance's context is dropped from the meta-context.
-4. **Vectorized ordering** — ``_buffer_deltas`` is computed once per step
-   and the deferred-layer greedy argmin is evaluated as a numpy sweep over
-   an (instances x layers) delta matrix, with dead columns masked to +inf
-   so ``argmin``'s first-occurrence rule reproduces a strict-less
-   first-min scan's tie-break exactly.
+   (degrees, stage, shard) context signature instead of per device, and
+   every run of layers with the same coverage shares one interned,
+   device-id-sorted holder bucket.
+2. **Bucket-keyed step construction** — the sorted source candidate order
+   for a destination depends on the destination only through its instance
+   (when that instance holds the bucket) or its zone (when it does not),
+   and on the layer only through its holder bucket.  So the ranked
+   candidate list and the greedy piece decomposition are computed once per
+   (bucket, rank class, needed segment) and the resulting ``Transfer``
+   lists instantiated per device and layer.  Model and cache steps share
+   this cover loop (:meth:`MigrationPlanner._cover`), and the greedy cover
+   itself is :meth:`MigrationPlanner._pieces_from_sources`.  Equivalence
+   with a per-destination sort reduces to the candidate order being equal —
+   which it is, because the sort key ``(not same_instance, not same_zone,
+   device_id)`` is a total order (device ids are unique).
+3. **One-walk pricing** — :meth:`MigrationPlanner._step_costs` walks each
+   step's transfers once for its duration, byte totals and per-instance
+   buffer deltas, pricing links through a per-plan cache of
+   :meth:`~repro.sim.network.NetworkModel.link`; ordering and finalisation
+   both consume that walk.  Every sum keeps the scalar definitions'
+   operation order, so the floats are bit-identical.
+4. **Vectorized ordering** — the deferred-layer greedy argmin is evaluated
+   as a numpy sweep over an (instances x layers) delta matrix, with dead
+   columns masked to +inf so ``argmin``'s first-occurrence rule reproduces
+   a strict-less first-min scan's tie-break exactly.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -82,12 +83,19 @@ from .device_mapper import DeviceMapping
 #: about two minutes, matching the paper's observation.
 DEFAULT_STORAGE_BANDWIDTH = 1.0 * 1024 ** 3
 
-#: Holders of one kind of context: layer -> device-id-sorted bucket of
-#: (shard interval, device), plus layer -> instances holding any of it.
-_HolderTable = Tuple[
-    Dict[int, List[Tuple[Tuple[float, float], DeviceId]]],
-    Dict[int, Set[str]],
-]
+#: Holders of one layer: a device-id-sorted list of (shard interval,
+#: device), plus the instances holding any of it.  Interned per coverage,
+#: so its identity names the layer's rank classes.
+_Bucket = Tuple[List[Tuple[Tuple[float, float], DeviceId]], Set[str]]
+
+#: Holders of one kind of context: layer -> interned bucket.
+_HolderTable = Dict[int, _Bucket]
+
+#: The bucket of a layer nobody holds.
+_NO_HOLDERS: _Bucket = ((), frozenset())
+
+#: Per-step pricing: (duration, total bytes, remote bytes, buffer deltas).
+_StepCosts = Tuple[float, float, float, Dict[str, float]]
 
 
 @lru_cache(maxsize=1024)
@@ -207,11 +215,6 @@ class MigrationPlan:
 class MigrationPlanner:
     """Implements Algorithm 2 (progressive + memory-optimised migration)."""
 
-    #: Cross-round plan-memo capacity.  The adaptation loop revisits a
-    #: handful of (placement, placement) shapes between fleet changes, so a
-    #: small LRU captures the hits while bounding retained Transfer lists.
-    PLAN_MEMO_SIZE = 16
-
     def __init__(
         self,
         model: ModelSpec,
@@ -250,9 +253,6 @@ class MigrationPlanner:
         #: best sources.  Toggled by the serving system alongside
         #: ``DeviceMapper.evacuation_mode``.
         self.evacuation_mode = False
-        self._plan_memo: "OrderedDict[Tuple, MigrationPlan]" = OrderedDict()
-        self.plan_memo_hits = 0
-        self.plan_memo_misses = 0
 
     # ------------------------------------------------------------------
     # Public API
@@ -277,8 +277,8 @@ class MigrationPlanner:
         """
         with self.timers.phase("plan"):
             cache_requirements = cache_requirements or {}
-            # One walk of the meta-context feeds the memo key, the holder
-            # tables and the per-destination own-context lookups.
+            # One walk of the meta-context feeds the holder tables and the
+            # per-destination own-context lookups.
             context_map: Dict[DeviceId, Tuple] = {}
             for device_id in meta_context.devices():
                 daemon = meta_context.daemon(device_id)
@@ -286,30 +286,7 @@ class MigrationPlanner:
                 cctx = daemon.cache_context
                 if mctx is not None or cctx is not None:
                     context_map[device_id] = (mctx, cctx)
-            zones = self._zones_for(context_map, mapping)
-            key = self._plan_memo_key(context_map, mapping, cache_requirements, zones)
-            cached = self._plan_memo.get(key)
-            if cached is not None:
-                self._plan_memo.move_to_end(key)
-                self.plan_memo_hits += 1
-                return cached
-            self.plan_memo_misses += 1
-            built = self._build_plan(context_map, mapping, cache_requirements, zones)
-            self._plan_memo[key] = built
-            while len(self._plan_memo) > self.PLAN_MEMO_SIZE:
-                self._plan_memo.popitem(last=False)
-            return built
-
-    def invalidate_plan_memo(self) -> None:
-        """Drop every memoised plan.
-
-        Called by the serving system when an instance's context leaves the
-        meta-context: keys naming the vanished devices can never hit again,
-        so clearing merely bounds retained memory — correctness never
-        depends on it, because every context/placement/config input is part
-        of the memo key.
-        """
-        self._plan_memo.clear()
+            return self._build_plan(context_map, mapping, cache_requirements)
 
     def estimate_restart_plan(
         self, config: ParallelConfig, gpus_per_instance: int = 4
@@ -351,11 +328,11 @@ class MigrationPlanner:
         all-spill plan (``k = 0``) cannot beat the deadline -- callers then
         fall through to the pre-tiering reroute fallback.
 
-        The input plan may be a shared, memoised object: it is never
-        mutated.  Suffix steps are rebuilt with fresh ``tier="offload"``
-        :class:`~repro.sim.network.Transfer` records; prefix steps are
-        reused as-is (read-only).  The derived plan is *not* memoised --
-        the window varies continuously with simulation time.
+        The input plan is never mutated.  Suffix steps are rebuilt with
+        fresh ``tier="offload"`` :class:`~repro.sim.network.Transfer`
+        records; prefix steps are reused as-is (read-only).  The derived
+        plan is *not* memoised -- the window varies continuously with
+        simulation time.
         """
         if self.network.offload_tier is None:
             return None
@@ -442,13 +419,12 @@ class MigrationPlanner:
         context_map: Dict[DeviceId, Tuple],
         mapping: DeviceMapping,
         cache_requirements: Dict[int, Tuple[int, int, int]],
-        zones: Dict[str, Optional[str]],
     ) -> MigrationPlan:
-        """Signature-grouped steps off the shared context walk, then ordering."""
+        """Bucket-keyed steps off the shared context walk, then ordering."""
         # Zones only rank sources when the network knows them and no
         # evacuation is suspending the same-zone preference.
         rank_zones = (
-            zones
+            self._zones_for(context_map, mapping)
             if self.network.zone_of is not None and not self.evacuation_mode
             else None
         )
@@ -465,10 +441,18 @@ class MigrationPlanner:
         mapping: DeviceMapping,
     ) -> MigrationPlan:
         config = mapping.config
-        layer_order = self._order_layers(layer_steps, mapping)
+        links: Dict[Tuple[str, str], Tuple[float, float]] = {}
+        layer_costs = {
+            layer: self._step_costs(step, links) for layer, step in layer_steps.items()
+        }
+        layer_order = self._order_layers(
+            {layer: costs[3] for layer, costs in layer_costs.items()}
+        )
         ordered_steps: List[MigrationStep] = []
+        ordered_costs: List[_StepCosts] = []
         if cache_step.transfers or cache_step.storage_bytes:
             ordered_steps.append(cache_step)
+            ordered_costs.append(self._step_costs(cache_step, links))
         stage_remaining = self._layers_per_stage(config)
         for layer_index in layer_order:
             step = layer_steps[layer_index]
@@ -477,23 +461,62 @@ class MigrationPlanner:
             if stage_remaining[stage] == 0:
                 step.stages_ready.append(stage)
             ordered_steps.append(step)
+            ordered_costs.append(layer_costs[layer_index])
 
-        return self._finalize(ordered_steps, layer_order, config)
+        return self._finalize(ordered_steps, ordered_costs, layer_order, config)
+
+    def _step_costs(
+        self, step: MigrationStep, links: Dict[Tuple[str, str], Tuple[float, float]]
+    ) -> _StepCosts:
+        """``(duration, total_bytes, remote_bytes, deltas)`` of one step, in one walk.
+
+        Each figure keeps its scalar definition's operation order:
+        ``latency + size / bandwidth`` chained per instance pair in transfer
+        order, then the stream makespan (``NetworkModel.batch_time``); byte
+        totals summed from ``0`` in transfer order (``MigrationStep.
+        total_bytes`` and the remote share); buffer deltas credited to the
+        destination, then debited from the source.  No-ops are skipped
+        everywhere, and non-positive sizes are not timed.  *links* caches
+        :meth:`~repro.sim.network.NetworkModel.link` per instance pair for
+        the whole plan, which is exact: the simulated clock, and so the
+        degradation factor, does not move while one plan is built.
+        """
+        link = self.network.link
+        chains: Dict[Tuple[str, str], float] = {}
+        deltas: Dict[str, float] = {}
+        total = 0
+        remote = 0
+        for transfer in step.transfers:
+            src = transfer.src
+            dst = transfer.dst
+            if src == dst:
+                continue
+            size = transfer.size_bytes
+            src_instance = src[0]
+            dst_instance = dst[0]
+            total += size
+            if src_instance != dst_instance:
+                remote += size
+            deltas[dst_instance] = deltas.get(dst_instance, 0.0) + size
+            deltas[src_instance] = deltas.get(src_instance, 0.0) - size
+            if size <= 0:
+                continue
+            key = (src_instance, dst_instance)
+            pair = links.get(key)
+            if pair is None:
+                pair = links[key] = link(src_instance, dst_instance)
+            chains[key] = chains.get(key, 0.0) + (pair[0] + size / pair[1])
+        return self.network.makespan(chains.values()), total, remote, deltas
 
     def _zones_for(
         self, context_map: Dict[DeviceId, Tuple], mapping: DeviceMapping
     ) -> Dict[str, Optional[str]]:
         """Zone per instance, resolved through ``zone_of`` once per plan.
 
-        Covers every instance appearing in the context map or the placement;
-        empty when the network model has no zone function.  Built with the
-        *real* ``zone_of`` even in evacuation mode — the memo key always
-        captures true zones; only source *ranking* ignores them.
+        Covers every instance appearing in the context map or the placement.
         """
         zone_of = self.network.zone_of
         zones: Dict[str, Optional[str]] = {}
-        if zone_of is None:
-            return zones
         for device_id in context_map:
             instance = device_id[0]
             if instance not in zones:
@@ -504,76 +527,27 @@ class MigrationPlanner:
                 zones[instance] = zone_of(instance)
         return zones
 
-    def _plan_memo_key(
-        self,
-        context_map: Dict[DeviceId, Tuple],
-        mapping: DeviceMapping,
-        cache_requirements: Dict[int, Tuple[int, int, int]],
-        zones: Dict[str, Optional[str]],
-    ) -> Tuple:
-        """Exact inputs the plan is a function of, as a hashable key.
-
-        Context entries are sorted by device id (holder build order cannot
-        affect the plan — the candidate sort key is a total order), but
-        ``placement`` and ``cache_requirements`` keep their iteration order
-        because it determines ``Transfer`` ordering inside steps.  Zones are
-        captured per instance so the key does not rely on ``zone_of``
-        stability.
-        """
-        context_entries = []
-        for device_id, (mctx, cctx) in context_map.items():
-            msig = (
-                (mctx.pipeline_degree, mctx.tensor_degree, mctx.position)
-                if mctx is not None
-                else None
-            )
-            csig = (
-                (cctx.pipeline_degree, cctx.tensor_degree, cctx.position)
-                if cctx is not None
-                else None
-            )
-            context_entries.append((device_id, zones.get(device_id[0]), msig, csig))
-        context_entries.sort(key=lambda entry: entry[0])
-        placement_sig = tuple(
-            (device_id, zones.get(device_id[0]), position)
-            for device_id, position in mapping.placement.items()
-        )
-        return (
-            tuple(context_entries),
-            mapping.config,
-            placement_sig,
-            tuple(cache_requirements.items()),
-            self.evacuation_mode,
-            self.max_buffer_bytes,
-            self.memory_optimized,
-            self.progressive,
-            self.storage_bandwidth,
-            self.network.spec,
-        )
-
     # ------------------------------------------------------------------
     # Step construction
     # ------------------------------------------------------------------
-    def _rank_class(
-        self,
-        layer_key: Tuple,
-        instance: str,
-        dest_zone: Optional[str],
-        layer_instances: Optional[Set[str]],
-    ) -> Tuple:
-        """Equivalence class of destinations sharing one candidate order.
+    @staticmethod
+    def _rank_class(bucket: _Bucket, instance: str, dest_zone: Optional[str]) -> Tuple:
+        """Equivalence class of (destination, layer) pairs sharing one candidate order.
 
         The sort key ``(not same_instance, not same_zone, device_id)``
-        depends on the destination only through its instance and zone.  Two
-        destinations produce the same sorted candidate list when they share
-        an instance, or when neither instance holds the layer (so
-        ``same_instance`` is uniformly False) and they share a zone.  The
-        ``0`` / ``1`` discriminants keep instance ids and zone names from
-        colliding.
+        depends on the layer only through its holder bucket and on the
+        destination only through its instance and zone.  Two pairs with the
+        same interned bucket produce the same sorted candidate list when
+        their destinations share an instance, or when neither instance holds
+        the bucket (so ``same_instance`` is uniformly False) and they share
+        a zone.  Buckets are keyed by identity: every table outlives the
+        step construction that consults it, and distinct tables never share
+        a non-empty bucket.  The ``0`` / ``1`` discriminants keep instance
+        ids and zone names from colliding.
         """
-        if layer_instances and instance in layer_instances:
-            return (layer_key, 0, instance)
-        return (layer_key, 1, dest_zone)
+        if instance in bucket[1]:
+            return (id(bucket), 0, instance)
+        return (id(bucket), 1, dest_zone)
 
     def _plan_layer_steps(
         self,
@@ -593,7 +567,7 @@ class MigrationPlanner:
             entry = context_map.get(device_id)
             own = entry[0] if entry is not None else None
             for layer, pieces in self._cover(
-                device_id, position, own, mapping.config, table, None, rank_zones, memo
+                device_id, position, own, mapping.config, table, rank_zones, memo
             ):
                 step = steps[layer]
                 for source, fraction in pieces:
@@ -625,7 +599,6 @@ class MigrationPlanner:
         if not cache_requirements:
             return step
         tables = self._cache_holder_tables(context_map)
-        no_table: _HolderTable = ({}, {})
         memo: Tuple[Dict, Dict, Dict] = ({}, {}, {})
         for new_data_index, (old_data_index, batch_size, cached_tokens) in cache_requirements.items():
             if cached_tokens <= 0:
@@ -637,7 +610,7 @@ class MigrationPlanner:
                 * batch_size
                 * cached_tokens
             )
-            table = tables.get(old_data_index, no_table)
+            table = tables.get(old_data_index, {})
             tag = f"cache:pipeline{new_data_index}"
             for device_id, position in mapping.placement.items():
                 if position.data_index != new_data_index:
@@ -652,7 +625,6 @@ class MigrationPlanner:
                     own,
                     mapping.config,
                     table,
-                    old_data_index,
                     rank_zones,
                     memo,
                 ):
@@ -674,19 +646,17 @@ class MigrationPlanner:
         own: Optional[Union[ModelContext, CacheContext]],
         config: ParallelConfig,
         table: _HolderTable,
-        scope: Optional[int],
         rank_zones: Optional[Dict[str, Optional[str]]],
         memo: Tuple[Dict, Dict, Dict],
     ) -> List[Tuple[int, List[Tuple[Optional[DeviceId], float]]]]:
         """``(layer, pieces)`` covering what *device_id* lacks at *position*.
 
         *own* is the context the destination already holds (or ``None``),
-        *table* the holder buckets and per-layer instance sets of that kind
-        of context, and *scope* separates the rank classes of different
-        holder tables that share one *memo* of missing sets, ranked
-        candidates and piece lists.  Pieces come out per layer of the new
-        stage, then per missing segment, in the order the transfers are
-        emitted.
+        *table* the interned holder buckets of that kind of context, and
+        *memo* the missing sets, ranked candidates and piece lists shared
+        across destinations (and across the tables of one step).  Pieces
+        come out per layer of the new stage, then per missing segment, in
+        the order the transfers are emitted.
         """
         num_layers = self.model.num_layers
         new_pd = config.pipeline_degree
@@ -711,12 +681,13 @@ class MigrationPlanner:
                 cpos.stage_index,
                 cpos.shard_index,
             )
-        holders, holder_instances = table
         missing_memo, ranked_memo, pieces_memo = memo
         new_interval = shard_interval(new_td, new_shard)
         instance = device_id[0]
         dest_zone = rank_zones[instance] if rank_zones is not None else None
         covered: List[Tuple[int, List[Tuple[Optional[DeviceId], float]]]] = []
+        # Runs of adjacent layers share one interned bucket, hence one class.
+        class_bucket: Optional[_Bucket] = None
         for layer in stage_layers(num_layers, new_pd, new_stage):
             owned = own_interval if own is not None and own_lo <= layer < own_hi else None
             mkey = (new_interval, owned)
@@ -726,9 +697,10 @@ class MigrationPlanner:
                 missing_memo[mkey] = missing
             if not missing:
                 continue
-            rank_class = self._rank_class(
-                (scope, layer), instance, dest_zone, holder_instances.get(layer)
-            )
+            bucket = table.get(layer, _NO_HOLDERS)
+            if bucket is not class_bucket:
+                class_bucket = bucket
+                rank_class = self._rank_class(bucket, instance, dest_zone)
             for segment in missing:
                 pkey = (rank_class, segment)
                 pieces = pieces_memo.get(pkey)
@@ -736,7 +708,7 @@ class MigrationPlanner:
                     ranked = ranked_memo.get(rank_class)
                     if ranked is None:
                         ranked = self._partition_ranked(
-                            holders.get(layer, ()), instance, dest_zone, rank_zones
+                            bucket[0], instance, dest_zone, rank_zones
                         )
                         ranked_memo[rank_class] = ranked
                     pieces = self._pieces_from_sources(ranked, segment)
@@ -747,15 +719,16 @@ class MigrationPlanner:
     # ------------------------------------------------------------------
     # Layer ordering (Algorithm 2)
     # ------------------------------------------------------------------
-    def _order_layers(
-        self, layer_steps: Dict[int, MigrationStep], mapping: DeviceMapping
-    ) -> List[int]:
+    def _order_layers(self, deltas_by_layer: Dict[int, Dict[str, float]]) -> List[int]:
+        """Memory-bounded layer order from each layer's buffer deltas.
+
+        Layers run in index order while the per-instance receive buffers
+        stay within ``max_buffer_bytes``; the rest are deferred and drained
+        lowest-peak first.
+        """
         layers = list(range(self.model.num_layers))
         if not self.memory_optimized:
             return layers
-        deltas_by_layer = {
-            layer: self._buffer_deltas(layer_steps[layer]) for layer in layers
-        }
         usage: Dict[str, float] = {}
         order: List[int] = []
         deferred: List[int] = []
@@ -824,16 +797,6 @@ class MigrationPlanner:
             order.append(deferred[column])
         return order
 
-    def _buffer_deltas(self, step: MigrationStep) -> Dict[str, float]:
-        """Net buffer-memory change per instance caused by one step."""
-        deltas: Dict[str, float] = {}
-        for transfer in step.transfers:
-            if transfer.is_noop:
-                continue
-            deltas[transfer.dst[0]] = deltas.get(transfer.dst[0], 0.0) + transfer.size_bytes
-            deltas[transfer.src[0]] = deltas.get(transfer.src[0], 0.0) - transfer.size_bytes
-        return deltas
-
     def _within_budget(self, usage: Dict[str, float], deltas: Dict[str, float]) -> bool:
         return all(
             max(usage.get(instance, 0.0) + delta, 0.0) <= self.max_buffer_bytes
@@ -851,32 +814,27 @@ class MigrationPlanner:
     def _finalize(
         self,
         steps: List[MigrationStep],
+        costs: List[_StepCosts],
         layer_order: List[int],
         config: ParallelConfig,
     ) -> MigrationPlan:
         total_time = 0.0
-        stall_time = 0.0
         storage_bytes = 0.0
         total_bytes = 0.0
         remote_bytes = 0.0
         usage: Dict[str, float] = {}
         peak = 0.0
         first_stage_ready_time: Optional[float] = None
-        all_stages = set(range(config.pipeline_degree))
-        stages_seen: set = set()
 
-        for step in steps:
-            duration = self.network.batch_time(step.transfers)
+        for step, (duration, step_bytes, step_remote, deltas) in zip(steps, costs):
             total_time += duration
-            total_bytes += step.total_bytes
-            remote_bytes += self.network.remote_bytes(step.transfers)
+            total_bytes += step_bytes
+            remote_bytes += step_remote
             storage_bytes += step.storage_bytes
-            self._apply_deltas(usage, self._buffer_deltas(step))
+            self._apply_deltas(usage, deltas)
             peak = max(peak, max(usage.values(), default=0.0))
-            for stage in step.stages_ready:
-                stages_seen.add(stage)
-                if stage == 0 and first_stage_ready_time is None:
-                    first_stage_ready_time = total_time
+            if first_stage_ready_time is None and 0 in step.stages_ready:
+                first_stage_ready_time = total_time
 
         if self.progressive and first_stage_ready_time is not None:
             # Serving resumes once the cache and the first stage are in place;
@@ -933,14 +891,14 @@ class MigrationPlanner:
 
         Stage spans are contiguous, so runs of adjacent layers are covered
         by the same set of signature groups; each distinct coverage set is
-        expanded and device-id-sorted once, and the resulting bucket (plus
-        its instance set) is shared by every layer with that coverage.
-        Buckets are therefore shared, read-only lists.  The device-id sort
-        is what lets :meth:`_partition_ranked` skip sorting entirely.
+        expanded and device-id-sorted once, and the resulting bucket (the
+        holder list plus its instance set) is shared by every layer with
+        that coverage.  Buckets are therefore shared and read-only, and
+        their identity keys :meth:`_rank_class`.  The device-id sort is what
+        lets :meth:`_partition_ranked` skip sorting entirely.
         """
-        holders: Dict[int, List[Tuple[Tuple[float, float], DeviceId]]] = {}
-        holder_instances: Dict[int, Set[str]] = {}
-        bucket_cache: Dict[Tuple[int, ...], Tuple[List, Set[str]]] = {}
+        table: _HolderTable = {}
+        bucket_cache: Dict[Tuple[int, ...], _Bucket] = {}
         for layer, group_ids in coverage.items():
             ckey = tuple(group_ids)
             cached = bucket_cache.get(ckey)
@@ -955,20 +913,18 @@ class MigrationPlanner:
                 bucket.sort(key=lambda item: item[1])
                 cached = (bucket, instances)
                 bucket_cache[ckey] = cached
-            holders[layer] = cached[0]
-            holder_instances[layer] = cached[1]
-        return holders, holder_instances
+            table[layer] = cached
+        return table
 
     def _model_holder_tables(self, context_map: Dict[DeviceId, Tuple]) -> _HolderTable:
-        """Layer -> (shard interval, device) model holders, plus instances.
+        """Layer -> interned bucket of (shard interval, device) model holders.
 
         Devices are grouped by their (degrees, stage, shard) context
         signature so the layer list and shard interval are resolved once per
         group, then per-layer buckets are interned and device-id-sorted by
         :meth:`_interned_buckets`.  Holder-list order is device-id order, not
         meta-context order, which cannot matter: the candidate ranking is a
-        total order over device ids.  The per-layer instance sets feed
-        :meth:`_rank_class`.
+        total order over device ids.
         """
         groups: Dict[Tuple[int, int, int, int], List[DeviceId]] = {}
         for device_id, (mctx, _) in context_map.items():

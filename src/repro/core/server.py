@@ -437,13 +437,6 @@ class ServingSystemBase:
         subclasses override to rearrange in-flight work).
         """
 
-    def handle_context_dropped(self, instance_id: str) -> None:
-        """React to an instance's context leaving the meta-context.
-
-        Called after every ``meta_context.drop_instance`` so subclasses can
-        invalidate caches keyed on the dropped devices (subclasses override).
-        """
-
     def handle_acquisition_ready(self, instance: Instance) -> None:
         """React to a new instance becoming usable (subclasses override)."""
 
@@ -526,7 +519,6 @@ class ServingSystemBase:
             self.handle_early_preemption(instance, announced)
         self.handle_preemption_final(instance)
         self.meta_context.drop_instance(instance.instance_id)
-        self.handle_context_dropped(instance.instance_id)
 
     def _on_acquisition_ready(self, event: Event) -> None:
         instance: Instance = event.payload["instance"]
@@ -575,7 +567,6 @@ class ServingSystemBase:
             self._teardown_pipelines_using(lost_ids)
             for instance in dead:
                 self.meta_context.drop_instance(instance.instance_id)
-                self.handle_context_dropped(instance.instance_id)
         self.handle_zone_outage(zone, phase, payload)
 
     def handle_zone_outage(self, zone: str, phase: str, payload: Dict) -> None:
@@ -1417,11 +1408,6 @@ class SpotServeSystem(ServingSystemBase):
         #: refreshed by :meth:`_jit_stop_time`; consumed when a reclaim
         #: lands earlier than announced (Section 4.2 rearrangement).
         self._active_arrangements: Dict[int, InterruptionArrangement] = {}
-        #: Bandwidth-degradation factor the planner's memoised plans were
-        #: computed under; a change invalidates the whole-plan memo (its
-        #: keys do not encode the network state).  Constant 1.0 without a
-        #: fault injector, so the memo is never invalidated off-path.
-        self._last_bandwidth_factor = 1.0
         #: Zones currently under an outage (warning or dark).  While any is
         #: active the mapper and planner run in evacuation mode: intra-zone
         #: placement preference and same-zone source ranking are suspended so
@@ -1520,15 +1506,6 @@ class SpotServeSystem(ServingSystemBase):
             self._plan_reconfiguration(reason="zone-outage")
         else:
             self._plan_reconfiguration(reason="zone-outage-final")
-
-    def handle_context_dropped(self, instance_id: str) -> None:
-        """Evict memoised plans naming the vanished instance's devices.
-
-        Plan-memo keys that mention the dropped devices can never hit
-        again (the context signature in the key no longer matches), so a
-        full clear is pure memory hygiene, never a correctness need.
-        """
-        self.migration_planner.invalidate_plan_memo()
 
     def handle_acquisition_ready(self, instance: Instance) -> None:
         """Fold the new instance into the deployment (JIT arrangement)."""
@@ -1766,14 +1743,6 @@ class SpotServeSystem(ServingSystemBase):
         offload tier, else ``None``.
         """
         now = self.simulator.now
-        if self.fault_injector is not None:
-            # The whole-plan memo keys on context/mapping inputs only, not
-            # on the network state: plans cached under a different
-            # degradation factor would report stale migration times.
-            factor = self.fault_injector.bandwidth_factor(now)
-            if factor != self._last_bandwidth_factor:
-                self.migration_planner.invalidate_plan_memo()
-                self._last_bandwidth_factor = factor
         devices = self._available_devices()
         inheritance = self._pipeline_inheritance(new_config)
         cache_info = self._cache_requirements(new_config, inheritance)

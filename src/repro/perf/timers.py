@@ -10,8 +10,8 @@ track the adaptation-round cost as a first-class, regression-guarded metric
 (``map`` and ``plan`` each carry their own ``ms_per_call`` baseline guard).
 
 Phase timing wraps the *outermost* call, so a memo hit inside a phase (the
-mapper's submatrix memo, the planner's cross-round plan memo) still counts as
-one cheap call — exactly what the per-call guard should see.
+mapper's submatrix memo) still counts as one cheap call — exactly what the
+per-call guard should see.
 
 Timers never influence simulated behaviour: they only read
 ``time.perf_counter`` around existing calls, so enabling or disabling them

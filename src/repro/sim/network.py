@@ -20,7 +20,7 @@ two-tier behaviour exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Tuple
 
 GB = 1024 ** 3
 
@@ -62,15 +62,16 @@ class NetworkSpec:
     concurrent_streams: int = 8
 
     def __post_init__(self) -> None:
-        if (
-            self.inter_instance_bandwidth <= 0
-            or self.intra_instance_bandwidth <= 0
-            or self.cross_zone_bandwidth <= 0
+        # ``not x > 0`` / ``not x >= 0`` also reject NaN.
+        if not (
+            self.inter_instance_bandwidth > 0
+            and self.intra_instance_bandwidth > 0
+            and self.cross_zone_bandwidth > 0
         ):
             raise ValueError("bandwidths must be positive")
-        if self.per_transfer_latency < 0 or self.cross_zone_latency < 0:
+        if not (self.per_transfer_latency >= 0 and self.cross_zone_latency >= 0):
             raise ValueError("latency must be non-negative")
-        if self.concurrent_streams < 1:
+        if not self.concurrent_streams >= 1:
             raise ValueError("need at least one concurrent stream")
 
 
@@ -105,12 +106,13 @@ class OffloadTierSpec:
     zone_bandwidth: Tuple[Tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.spill_bandwidth <= 0 or self.restore_bandwidth <= 0:
+        # ``not x > 0`` / ``not x >= 0`` also reject NaN.
+        if not (self.spill_bandwidth > 0 and self.restore_bandwidth > 0):
             raise ValueError("offload tier bandwidths must be positive")
-        if self.per_spill_latency < 0:
+        if not self.per_spill_latency >= 0:
             raise ValueError("offload tier latency must be non-negative")
         for zone, bandwidth in self.zone_bandwidth:
-            if bandwidth <= 0:
+            if not bandwidth > 0:
                 raise ValueError(f"zone {zone!r} offload bandwidth must be positive")
 
     def spill_bandwidth_for(self, zone: Optional[str]) -> float:
@@ -187,29 +189,37 @@ class NetworkModel:
         self.degradation: Optional[Callable[[], float]] = None
         self.offload_tier: Optional[OffloadTierSpec] = None
 
-    def is_cross_zone(self, transfer: Transfer) -> bool:
-        """True when the transfer's endpoints live in different zones."""
-        if transfer.is_local or self.zone_of is None:
-            return False
-        return self.zone_of(transfer.src[0]) != self.zone_of(transfer.dst[0])
+    def link(self, src_instance: str, dst_instance: str) -> Tuple[float, float]:
+        """``(latency, bandwidth)`` of the link between two instances.
+
+        Intra-instance when the endpoints coincide, cross-zone when
+        ``zone_of`` places them in different zones, inter-instance
+        otherwise; the current degradation factor divides the bandwidth.
+        This is the single pricing definition every transfer time uses.
+        """
+        spec = self.spec
+        if src_instance == dst_instance:
+            bandwidth = spec.intra_instance_bandwidth
+            latency = spec.per_transfer_latency
+        elif self.zone_of is not None and self.zone_of(src_instance) != self.zone_of(
+            dst_instance
+        ):
+            bandwidth = spec.cross_zone_bandwidth
+            latency = spec.cross_zone_latency
+        else:
+            bandwidth = spec.inter_instance_bandwidth
+            latency = spec.per_transfer_latency
+        if self.degradation is not None:
+            factor = self.degradation()
+            if factor != 1.0 and factor > 0.0:
+                bandwidth = bandwidth / factor
+        return latency, bandwidth
 
     def transfer_time(self, transfer: Transfer) -> float:
         """Duration in seconds of a single transfer."""
         if transfer.is_noop or transfer.size_bytes <= 0:
             return 0.0
-        if transfer.is_local:
-            bandwidth = self.spec.intra_instance_bandwidth
-            latency = self.spec.per_transfer_latency
-        elif self.is_cross_zone(transfer):
-            bandwidth = self.spec.cross_zone_bandwidth
-            latency = self.spec.cross_zone_latency
-        else:
-            bandwidth = self.spec.inter_instance_bandwidth
-            latency = self.spec.per_transfer_latency
-        if self.degradation is not None:
-            factor = self.degradation()
-            if factor != 1.0 and factor > 0.0:
-                bandwidth = bandwidth / factor
+        latency, bandwidth = self.link(transfer.src[0], transfer.dst[0])
         return latency + transfer.size_bytes / bandwidth
 
     def batch_time(self, transfers: Iterable[Transfer]) -> float:
@@ -226,14 +236,21 @@ class NetworkModel:
                 continue
             key = (transfer.src[0], transfer.dst[0])
             per_pair[key] = per_pair.get(key, 0.0) + self.transfer_time(transfer)
-        if not per_pair:
+        return self.makespan(per_pair.values())
+
+    def makespan(self, chains: Iterable[float]) -> float:
+        """Finish time of pair-serialized transfer *chains* on the streams.
+
+        Up to ``concurrent_streams`` chains run side by side; beyond that
+        they are scheduled greedily, longest first, onto the least-loaded
+        stream (longest-processing-time rule).
+        """
+        durations = sorted(chains, reverse=True)
+        if not durations:
             return 0.0
-        durations = sorted(per_pair.values(), reverse=True)
         streams = self.spec.concurrent_streams
         if len(durations) <= streams:
             return durations[0]
-        # Greedy multiprocessor scheduling of pair-serialized transfer chains
-        # onto the available parallel streams (longest-processing-time rule).
         loads = [0.0] * streams
         for duration in durations:
             loads[loads.index(min(loads))] += duration
@@ -298,24 +315,4 @@ class NetworkModel:
         return max(
             latency + size / self._tier_bandwidth(instance, restore=True)
             for instance, size in per_instance.items()
-        )
-
-    def total_bytes(self, transfers: Sequence[Transfer]) -> float:
-        """Total payload moved by *transfers*, excluding no-ops."""
-        return float(sum(t.size_bytes for t in transfers if not t.is_noop))
-
-    def remote_bytes(self, transfers: Sequence[Transfer]) -> float:
-        """Payload that crosses instance boundaries (the expensive part)."""
-        return float(
-            sum(t.size_bytes for t in transfers if not t.is_noop and not t.is_local)
-        )
-
-    def cross_zone_bytes(self, transfers: Sequence[Transfer]) -> float:
-        """Payload that crosses availability zones (the most expensive part)."""
-        return float(
-            sum(
-                t.size_bytes
-                for t in transfers
-                if not t.is_noop and self.is_cross_zone(t)
-            )
         )

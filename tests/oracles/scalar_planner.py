@@ -2,20 +2,24 @@
 
 The production :class:`~repro.core.migration.MigrationPlanner` walks the
 meta-context once per plan, groups holders by context signature, ranks
-candidate sources once per rank class, memoises finished plans across rounds
-and drains deferred layers with a numpy sweep.  This module keeps the planner
-those layers replaced: per-device scans of the meta-context, a full sort of
-the holder candidates for every needed segment, no plan memo, and a
-first-strict-min Python loop for the deferred-layer drain.  Plan assembly,
-ordering, finalisation and the greedy interval cover are shared with
-production.  Differential tests pin production plans against it byte for
-byte.
+candidate sources once per holder bucket and rank class, prices each step
+in one walk over a per-plan link cache and drains deferred layers with a
+numpy sweep.  This module keeps the planner those layers replaced:
+per-device scans of the meta-context, a full sort of the holder candidates
+for every needed segment, a first-strict-min Python loop for the
+deferred-layer drain, and plan assembly, ordering and finalisation that
+recompute each step's buffer deltas and price it through
+``NetworkModel.batch_time``, ``MigrationStep.total_bytes`` and a separate
+remote-bytes sum.  Only the greedy interval cover, the budget check and the
+geometry helpers are shared with production.  Differential tests pin
+production plans against it byte for byte.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.config import ParallelConfig
 from repro.core.device_mapper import DeviceMapping
 from repro.core.migration import MigrationPlan, MigrationPlanner, MigrationStep
 from repro.engine.context import DeviceId, MetaContextManager
@@ -23,8 +27,15 @@ from repro.engine.placement import shard_interval, stage_layers
 from repro.sim.network import Transfer
 
 
+def _remote_bytes(transfers: Sequence[Transfer]) -> float:
+    """Payload that crosses instance boundaries (the expensive part)."""
+    return float(
+        sum(t.size_bytes for t in transfers if not t.is_noop and not t.is_local)
+    )
+
+
 class ScalarMigrationPlanner(MigrationPlanner):
-    """:class:`MigrationPlanner` with per-device scans and no plan memo."""
+    """:class:`MigrationPlanner` with per-device scans and per-step re-pricing."""
 
     def plan(
         self,
@@ -135,6 +146,118 @@ class ScalarMigrationPlanner(MigrationPlanner):
                                 )
                             )
         return step
+
+    def _assemble(
+        self,
+        layer_steps: Dict[int, MigrationStep],
+        cache_step: MigrationStep,
+        mapping: DeviceMapping,
+    ) -> MigrationPlan:
+        config = mapping.config
+        layer_order = self._order_layers(layer_steps, mapping)
+        ordered_steps: List[MigrationStep] = []
+        if cache_step.transfers or cache_step.storage_bytes:
+            ordered_steps.append(cache_step)
+        stage_remaining = self._layers_per_stage(config)
+        for layer_index in layer_order:
+            step = layer_steps[layer_index]
+            stage = self._stage_of_layer(layer_index, config)
+            stage_remaining[stage] -= 1
+            if stage_remaining[stage] == 0:
+                step.stages_ready.append(stage)
+            ordered_steps.append(step)
+
+        return self._finalize(ordered_steps, layer_order, config)
+
+    def _order_layers(
+        self, layer_steps: Dict[int, MigrationStep], mapping: DeviceMapping
+    ) -> List[int]:
+        layers = list(range(self.model.num_layers))
+        if not self.memory_optimized:
+            return layers
+        deltas_by_layer = {
+            layer: self._buffer_deltas(layer_steps[layer]) for layer in layers
+        }
+        usage: Dict[str, float] = {}
+        order: List[int] = []
+        deferred: List[int] = []
+        for layer in layers:
+            deltas = deltas_by_layer[layer]
+            if self._within_budget(usage, deltas):
+                self._apply_deltas(usage, deltas)
+                order.append(layer)
+            else:
+                deferred.append(layer)
+        if deferred:
+            order.extend(self._drain_deferred(usage, deferred, deltas_by_layer))
+        return order
+
+    def deltas_by_layer(
+        self, layer_steps: Dict[int, MigrationStep]
+    ) -> Dict[int, Dict[str, float]]:
+        """Per-layer buffer deltas, the production ``_order_layers`` input."""
+        return {layer: self._buffer_deltas(step) for layer, step in layer_steps.items()}
+
+    def _buffer_deltas(self, step: MigrationStep) -> Dict[str, float]:
+        """Net buffer-memory change per instance caused by one step."""
+        deltas: Dict[str, float] = {}
+        for transfer in step.transfers:
+            if transfer.is_noop:
+                continue
+            deltas[transfer.dst[0]] = deltas.get(transfer.dst[0], 0.0) + transfer.size_bytes
+            deltas[transfer.src[0]] = deltas.get(transfer.src[0], 0.0) - transfer.size_bytes
+        return deltas
+
+    def _finalize(
+        self,
+        steps: List[MigrationStep],
+        layer_order: List[int],
+        config: ParallelConfig,
+    ) -> MigrationPlan:
+        total_time = 0.0
+        stall_time = 0.0
+        storage_bytes = 0.0
+        total_bytes = 0.0
+        remote_bytes = 0.0
+        usage: Dict[str, float] = {}
+        peak = 0.0
+        first_stage_ready_time: Optional[float] = None
+        all_stages = set(range(config.pipeline_degree))
+        stages_seen: set = set()
+
+        for step in steps:
+            duration = self.network.batch_time(step.transfers)
+            total_time += duration
+            total_bytes += step.total_bytes
+            remote_bytes += _remote_bytes(step.transfers)
+            storage_bytes += step.storage_bytes
+            self._apply_deltas(usage, self._buffer_deltas(step))
+            peak = max(peak, max(usage.values(), default=0.0))
+            for stage in step.stages_ready:
+                stages_seen.add(stage)
+                if stage == 0 and first_stage_ready_time is None:
+                    first_stage_ready_time = total_time
+
+        if self.progressive and first_stage_ready_time is not None:
+            # Serving resumes once the cache and the first stage are in place;
+            # the remaining stages migrate while the pipeline refills.
+            stall_time = first_stage_ready_time
+        else:
+            stall_time = total_time
+        if not steps:
+            stall_time = 0.0
+
+        storage_load_time = self._storage_time(storage_bytes, max(config.num_gpus, 1))
+        return MigrationPlan(
+            steps=steps,
+            layer_order=layer_order,
+            total_time=total_time,
+            stall_time=stall_time,
+            peak_buffer_bytes=peak,
+            storage_load_time=storage_load_time,
+            total_bytes=total_bytes,
+            remote_bytes=remote_bytes,
+        )
 
     def _drain_deferred(
         self,

@@ -248,23 +248,33 @@ class TestCrossZoneNetwork:
 
     def test_is_cross_zone(self):
         model = self._model()
-        assert model.is_cross_zone(Transfer(("a-0", 0), ("b-0", 0), 1.0))
-        assert not model.is_cross_zone(Transfer(("a-0", 0), ("a-1", 0), 1.0))
+        spec = model.spec
+        cross = (spec.cross_zone_latency, spec.cross_zone_bandwidth)
+        inter = (spec.per_transfer_latency, spec.inter_instance_bandwidth)
+        intra = (spec.per_transfer_latency, spec.intra_instance_bandwidth)
+        assert model.link("a-0", "b-0") == cross
+        assert model.link("a-0", "a-1") == inter
         # Local transfers never count as cross-zone.
-        assert not model.is_cross_zone(Transfer(("a-0", 0), ("a-0", 1), 1.0))
+        assert model.link("a-0", "a-0") == intra
 
     def test_cross_zone_bytes(self):
         model = self._model()
+        cross = (model.spec.cross_zone_latency, model.spec.cross_zone_bandwidth)
         transfers = [
             Transfer(("a-0", 0), ("b-0", 0), 100.0),
             Transfer(("a-0", 0), ("a-1", 0), 50.0),
         ]
-        assert model.cross_zone_bytes(transfers) == pytest.approx(100.0)
-        assert model.remote_bytes(transfers) == pytest.approx(150.0)
+        assert [
+            t.size_bytes for t in transfers if model.link(t.src[0], t.dst[0]) == cross
+        ] == [100.0]
 
     def test_without_topology_everything_is_one_zone(self):
         model = NetworkModel()
-        assert not model.is_cross_zone(Transfer(("a-0", 0), ("b-0", 0), 1.0))
+        spec = model.spec
+        assert model.link("a-0", "b-0") == (
+            spec.per_transfer_latency,
+            spec.inter_instance_bandwidth,
+        )
 
     def test_invalid_cross_zone_spec_rejected(self):
         with pytest.raises(ValueError):

@@ -249,9 +249,10 @@ class TestDigestNeutrality:
         digest = hashlib.sha256(result.stats.summary_text().encode()).hexdigest()
         assert digest == SINGLE_ZONE_SHA256
         # The hooks really ran: preemption notices consulted the early
-        # reclaim draw, migrations consulted the degradation hook.
+        # reclaim draw.  No migration in this scenario prices a network
+        # transfer, so the degradation hook is pinned by the multi-zone
+        # golden below, where migrations do ask for bandwidth.
         assert injector.calls["early_reclaim"] > 0
-        assert injector.calls["bandwidth"] > 0
         # ...and a null plan never materialises an RNG stream.
         assert injector._streams == {}
 

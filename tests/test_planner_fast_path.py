@@ -1,4 +1,4 @@
-"""Equivalence tests for the signature-grouped, memoised plan phase.
+"""Equivalence tests for the signature-grouped plan phase.
 
 The plan-phase fast path rests on four claims, each pinned here:
 
@@ -6,7 +6,7 @@ The plan-phase fast path rests on four claims, each pinned here:
   equal their O(num_layers) scan references for every (layers, degree)
   signature, fractional stage boundaries included;
 * signature-grouped step construction -- interned holder tables, rank-class
-  candidate ranking, per-(layer, segment, rank class) piece memoisation --
+  candidate ranking, per-(bucket, segment, rank class) piece memoisation --
   produces **byte-equal** :class:`MigrationPlan` fields and identical
   ``Transfer`` ordering vs the scalar oracle
   (``tests/oracles/scalar_planner.py``) under
@@ -14,8 +14,9 @@ The plan-phase fast path rests on four claims, each pinned here:
   storage fallback;
 * the numpy deferred-layer drain picks the same layer order as the scalar
   greedy, strict-less first-min tie-breaks included;
-* the cross-round plan memo hits exactly when every plan input is unchanged
-  and misses (or is invalidated) on any fleet / context / config change.
+* one-walk step pricing over the per-plan link cache equals the scalar
+  ``batch_time`` / byte-sum / buffer-delta definitions, and a planner
+  reused across changing degradation factors re-prices every plan.
 """
 
 import importlib.util
@@ -25,16 +26,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles.scalar_planner import ScalarMigrationPlanner
+from oracles.scalar_planner import ScalarMigrationPlanner, _remote_bytes
 
 from repro.core.config import ParallelConfig
 from repro.core.device_mapper import DeviceMapper
 from repro.core.migration import MigrationPlanner, MigrationStep, _stage_counts
-from repro.core.server import ServingSystemBase, SpotServeSystem
 from repro.engine.context import MetaContextManager
 from repro.engine.placement import mesh_positions, stage_layer_range, stage_layers
 from repro.llm.spec import GPT_20B, OPT_6_7B
-from repro.sim.network import NetworkModel, Transfer
+from repro.sim.network import NetworkModel, NetworkSpec, Transfer
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -79,6 +79,28 @@ def random_fleet_state(rng, model):
                 cached_tokens=int(rng.integers(1, 700)),
             )
     return meta, devices, old
+
+
+def installed_transition(model=GPT_20B, num_instances=6):
+    """A fully installed (1, 2, 8) fleet mapped onto (1, 3, 4)."""
+    meta = MetaContextManager(model)
+    devices = devices_for(num_instances)
+    old = ParallelConfig(1, 2, 8, 8)
+    positions = mesh_positions(old.data_degree, old.pipeline_degree, old.tensor_degree)
+    for device, position in zip(devices, positions):
+        meta.daemon(device).install_model_context(
+            old.pipeline_degree, old.tensor_degree, position
+        )
+        meta.daemon(device).install_cache_context(
+            old.pipeline_degree,
+            old.tensor_degree,
+            position,
+            batch_size=8,
+            cached_tokens=128,
+        )
+    new = ParallelConfig(1, 3, 4, 8)
+    mapping = DeviceMapper(model, zone_of=zone_of).map_devices(meta, devices, new)
+    return meta, devices, mapping
 
 
 def assert_plans_byte_equal(fast, reference):
@@ -277,7 +299,7 @@ class TestDeferredDrainEquivalence:
         fast = MigrationPlanner(GPT_20B, max_buffer_bytes=budget)
         reference = ScalarMigrationPlanner(GPT_20B, max_buffer_bytes=budget)
         fast.model = reference.model = model
-        fast_order = fast._order_layers(steps, mapping)
+        fast_order = fast._order_layers(reference.deltas_by_layer(steps))
         ref_order = reference._order_layers(steps, mapping)
         assert fast_order == ref_order
         assert sorted(fast_order) == list(range(num_layers))
@@ -290,103 +312,64 @@ class TestDeferredDrainEquivalence:
         fast = MigrationPlanner(GPT_20B, max_buffer_bytes=0.0)
         reference = ScalarMigrationPlanner(GPT_20B, max_buffer_bytes=0.0)
         fast.model = reference.model = model
-        assert fast._order_layers(steps, mapping) == reference._order_layers(
-            steps, mapping
+        assert fast._order_layers(
+            reference.deltas_by_layer(steps)
+        ) == reference._order_layers(steps, mapping)
+
+
+class TestStepCosts:
+    """One-walk pricing == the scalar per-step definitions, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_synthetic_steps_match_scalar_definitions(self, seed):
+        rng = np.random.default_rng(seed)
+        network = NetworkModel(
+            spec=NetworkSpec(concurrent_streams=int(rng.integers(1, 4))),
+            zone_of=zone_of if seed % 2 else None,
         )
+        if seed % 3 == 0:
+            network.degradation = lambda: 1.75
+        fast = MigrationPlanner(GPT_20B, network)
+        reference = ScalarMigrationPlanner(GPT_20B, network)
+        links = {}
+        for _ in range(8):
+            step = MigrationStep(kind="weight", layer_index=0)
+            for _ in range(int(rng.integers(0, 12))):
+                src = (f"inst-{int(rng.integers(0, 4)):02d}", int(rng.integers(0, 2)))
+                dst = (f"inst-{int(rng.integers(0, 4)):02d}", int(rng.integers(0, 2)))
+                # Zero sizes and same-device no-ops exercise both filters.
+                size = float(rng.choice([0.0, rng.random() * GB, 3.0 * GB]))
+                step.transfers.append(Transfer(src=src, dst=dst, size_bytes=size))
+            duration, total, remote, deltas = fast._step_costs(step, links)
+            assert duration == network.batch_time(step.transfers)
+            assert total == step.total_bytes
+            assert remote == _remote_bytes(step.transfers)
+            assert deltas == reference._buffer_deltas(step)
+            assert list(deltas) == list(reference._buffer_deltas(step))
 
 
-class TestPlanMemo:
-    """Cross-round memo: hit on identical inputs, miss on any change."""
+class TestDegradationRepricing:
+    """Without a plan memo, a degradation change can never leave a stale plan."""
 
-    @staticmethod
-    def transition(model=GPT_20B, num_instances=6):
-        meta = MetaContextManager(model)
-        devices = devices_for(num_instances)
-        old = ParallelConfig(1, 2, 8, 8)
-        positions = mesh_positions(old.data_degree, old.pipeline_degree, old.tensor_degree)
-        for device, position in zip(devices, positions):
-            meta.daemon(device).install_model_context(
-                old.pipeline_degree, old.tensor_degree, position
+    def test_factor_changes_match_fresh_oracle_plans(self):
+        meta, devices, mapping = installed_transition()
+        cache_requirements = {0: (0, 8, 128)}
+        current = {"factor": 1.0}
+        network = NetworkModel(zone_of=zone_of)
+        network.degradation = lambda: current["factor"]
+        planner = MigrationPlanner(GPT_20B, network)
+        times = []
+        for factor in (1.0, 2.5, 1.0):
+            current["factor"] = factor
+            plan = planner.plan(meta, mapping, cache_requirements)
+            oracle_network = NetworkModel(zone_of=zone_of)
+            oracle_network.degradation = lambda factor=factor: factor
+            reference = ScalarMigrationPlanner(GPT_20B, oracle_network).plan(
+                meta, mapping, cache_requirements
             )
-        new = ParallelConfig(1, 3, 4, 8)
-        mapping = DeviceMapper(model).map_devices(meta, devices, new)
-        return meta, devices, mapping
-
-    def test_identical_round_hits_and_returns_same_object(self):
-        meta, devices, mapping = self.transition()
-        planner = MigrationPlanner(GPT_20B)
-        first = planner.plan(meta, mapping, {})
-        assert (planner.plan_memo_hits, planner.plan_memo_misses) == (0, 1)
-        second = planner.plan(meta, mapping, {})
-        assert second is first
-        assert (planner.plan_memo_hits, planner.plan_memo_misses) == (1, 1)
-
-    def test_context_change_misses(self):
-        meta, devices, mapping = self.transition()
-        planner = MigrationPlanner(GPT_20B)
-        planner.plan(meta, mapping, {})
-        meta.drop_instance(devices[0][0])
-        planner.plan(meta, mapping, {})
-        assert planner.plan_memo_hits == 0
-        assert planner.plan_memo_misses == 2
-
-    def test_cache_requirement_change_misses(self):
-        meta, devices, mapping = self.transition()
-        planner = MigrationPlanner(GPT_20B)
-        planner.plan(meta, mapping, {0: (0, 8, 128)})
-        planner.plan(meta, mapping, {0: (0, 8, 256)})
-        planner.plan(meta, mapping, {})
-        assert planner.plan_memo_misses == 3
-        planner.plan(meta, mapping, {0: (0, 8, 128)})
-        assert planner.plan_memo_hits == 1
-
-    def test_config_toggles_miss(self):
-        meta, devices, mapping = self.transition()
-        planner = MigrationPlanner(GPT_20B)
-        planner.plan(meta, mapping, {})
-        planner.evacuation_mode = True
-        planner.plan(meta, mapping, {})
-        planner.evacuation_mode = False
-        planner.max_buffer_bytes /= 2.0
-        planner.plan(meta, mapping, {})
-        assert planner.plan_memo_hits == 0
-        assert planner.plan_memo_misses == 3
-
-    def test_memoised_plan_equals_fresh_plan(self):
-        """A hit returns exactly what an unmemoised build would produce."""
-        meta, devices, mapping = self.transition()
-        planner = MigrationPlanner(GPT_20B)
-        planner.plan(meta, mapping, {})
-        hit = planner.plan(meta, mapping, {})
-        fresh = MigrationPlanner(GPT_20B).plan(meta, mapping, {})
-        assert_plans_byte_equal(hit, fresh)
-
-    def test_invalidate_clears_the_memo(self):
-        meta, devices, mapping = self.transition()
-        planner = MigrationPlanner(GPT_20B)
-        planner.plan(meta, mapping, {})
-        planner.invalidate_plan_memo()
-        planner.plan(meta, mapping, {})
-        assert planner.plan_memo_hits == 0
-        assert planner.plan_memo_misses == 2
-
-    def test_memo_is_lru_bounded(self):
-        meta, devices, mapping = self.transition()
-        planner = MigrationPlanner(GPT_20B)
-        for tokens in range(planner.PLAN_MEMO_SIZE * 2):
-            planner.plan(meta, mapping, {0: (0, 8, tokens + 1)})
-        assert len(planner._plan_memo) == planner.PLAN_MEMO_SIZE
-
-    def test_server_hook_invalidates_the_memo(self):
-        """SpotServeSystem.handle_context_dropped clears the planner memo."""
-        assert hasattr(ServingSystemBase, "handle_context_dropped")
-        meta, devices, mapping = self.transition()
-        planner = MigrationPlanner(GPT_20B)
-        planner.plan(meta, mapping, {})
-        assert planner._plan_memo
-        stub = SimpleNamespace(migration_planner=planner)
-        SpotServeSystem.handle_context_dropped(stub, devices[0][0])
-        assert not planner._plan_memo
+            assert_plans_byte_equal(plan, reference)
+            times.append(plan.total_time)
+        assert times[0] == times[2] < times[1]
 
 
 class TestPerfCheckPlanGuard:

@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.migration import MigrationPlanner, MigrationStep
+from repro.llm.spec import GPT_20B
 from repro.sim.network import GB, NetworkModel, NetworkSpec, Transfer
 
 
@@ -23,6 +25,19 @@ class TestNetworkSpec:
     def test_invalid_streams_rejected(self):
         with pytest.raises(ValueError):
             NetworkSpec(concurrent_streams=0)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["inter_instance_bandwidth", "intra_instance_bandwidth", "cross_zone_bandwidth"],
+    )
+    def test_nan_bandwidth_rejected(self, field):
+        with pytest.raises(ValueError):
+            NetworkSpec(**{field: float("nan")})
+
+    @pytest.mark.parametrize("field", ["per_transfer_latency", "cross_zone_latency"])
+    def test_nan_latency_rejected(self, field):
+        with pytest.raises(ValueError):
+            NetworkSpec(**{field: float("nan")})
 
 
 class TestTransferTime:
@@ -98,11 +113,13 @@ class TestBatchTime:
 
 class TestByteAccounting:
     def test_total_and_remote_bytes(self):
-        model = NetworkModel()
-        transfers = [
+        step = MigrationStep(kind="weight", layer_index=0)
+        step.transfers = [
             make_transfer("a", "a", 1 * GB, dst_gpu=1),  # local
             make_transfer("a", "b", 2 * GB),  # remote
             make_transfer("a", "a", 5 * GB),  # no-op (same device)
         ]
-        assert model.total_bytes(transfers) == pytest.approx(3 * GB)
-        assert model.remote_bytes(transfers) == pytest.approx(2 * GB)
+        _, total, remote, _ = MigrationPlanner(GPT_20B)._step_costs(step, {})
+        assert step.total_bytes == pytest.approx(3 * GB)
+        assert total == pytest.approx(3 * GB)
+        assert remote == pytest.approx(2 * GB)
